@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -53,6 +54,24 @@ std::string result_line(const campaign::CampaignPlan& plan, std::size_t i,
   line += ',';
   line += std::to_string(m.windows);
   return line;
+}
+
+/// Blocks until `fd` has input (a frame, a pending connection, EOF or
+/// an error) or the stop pipe fires; returns false on stop. The stop
+/// byte stays unread, so the accept loop and every connection see it.
+bool await_input(int fd, int stop_fd) {
+  for (;;) {
+    pollfd fds[2];
+    fds[0] = {fd, POLLIN, 0};
+    fds[1] = {stop_fd, POLLIN, 0};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("serve: poll failed: ") +
+                               std::strerror(errno));
+    }
+    if (fds[1].revents != 0) return false;
+    if (fds[0].revents != 0) return true;
+  }
 }
 
 }  // namespace
@@ -107,7 +126,6 @@ Server::~Server() {
 }
 
 void Server::request_stop() noexcept {
-  stopping_.store(true, std::memory_order_release);
   // Only async-signal-safe calls past this point: this runs from the
   // SIGTERM handler. The byte's value is irrelevant; the wakeup is.
   const char byte = 's';
@@ -115,33 +133,24 @@ void Server::request_stop() noexcept {
 }
 
 void Server::run() {
-  for (;;) {
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {stop_pipe_[0], POLLIN, 0};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("serve: poll failed: ") +
-                               std::strerror(errno));
-    }
-    if ((fds[1].revents & POLLIN) != 0 ||
-        stopping_.load(std::memory_order_acquire)) {
-      break;
-    }
-    if ((fds[0].revents & POLLIN) == 0) continue;
+  while (await_input(listen_fd_, stop_pipe_[0])) {
     const int conn = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (conn < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       throw std::runtime_error(std::string("serve: accept failed: ") +
                                std::strerror(errno));
     }
+    // Frames are one write(2) each; Nagle would hold frame 2.. of every
+    // reply until the client's delayed ACK of frame 1 (see server.hpp).
+    const int one = 1;
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const std::scoped_lock lock(threads_mutex_);
     connections_.emplace_back(&Server::serve_connection, this, conn);
   }
   // Drain: no new connections; in-flight connections finish their
-  // current spec (they check stopping_ before reading the next one);
-  // then the pool finishes every queued run before its workers join.
+  // current spec, and every connection waiting for its next frame wakes
+  // on the stop pipe and closes; then the pool finishes every queued run
+  // before its workers join.
   close_fd(listen_fd_);
   {
     const std::scoped_lock lock(threads_mutex_);
@@ -156,8 +165,7 @@ void Server::run() {
 void Server::serve_connection(int fd) {
   try {
     Frame frame;
-    while (!stopping_.load(std::memory_order_acquire) &&
-           read_frame(fd, frame)) {
+    while (await_input(fd, stop_pipe_[0]) && read_frame(fd, frame)) {
       if (frame.type != FrameType::kSpec) {
         write_frame(fd, FrameType::kError, "expected a spec ('S') frame");
         continue;

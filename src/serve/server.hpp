@@ -14,12 +14,16 @@
 // Shutdown is a graceful drain, reachable from a signal handler:
 // request_stop() writes one byte to a self-pipe (async-signal-safe),
 // the accept loop's poll wakes, the listener closes (no new
-// connections), in-flight connections finish the spec they are serving
-// and see the stop flag before reading another, and the pool drains its
-// queue before the workers join. Nothing in flight is dropped.
+// connections), in-flight connections finish the spec they are serving,
+// every connection waiting for its next frame (idle clients included)
+// wakes on the same pipe and closes, and the pool drains its queue
+// before the workers join. Nothing in flight is dropped.
+//
+// Accepted sockets set TCP_NODELAY: each result frame is one write(2)
+// sent as its slot completes, and Nagle would otherwise hold the rest
+// of a reply for the client's delayed ACK (~40 ms).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <thread>
@@ -67,7 +71,6 @@ class Server {
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};
-  std::atomic<bool> stopping_{false};
   ServePool pool_;
   std::mutex threads_mutex_;
   std::vector<std::thread> connections_;

@@ -1,16 +1,22 @@
-// Persistent work-stealing run pool for the serve daemon.
+// Persistent FIFO run pool for the serve daemon.
 //
 // sim::ThreadPool is a fork-join pool: parallel_for blocks its caller
 // until the whole range drains, which is exactly wrong for a daemon
 // where many connections submit jobs concurrently and each streams its
 // own results as they land. ServePool is the long-lived counterpart:
-// workers live for the daemon's lifetime, each owns a deque of run
-// tasks and a RunWorkspace reused across every job it ever touches (the
-// same warm-heap property the campaign runner gets per sweep, extended
-// across sweeps). Submission deals a job's runs round-robin across the
-// deques; a worker drains its own deque back-to-front and, when empty,
-// steals from the front of a sibling's — FIFO stealing takes the
-// oldest, coldest tasks and keeps each worker's own tail cache-warm.
+// workers live for the daemon's lifetime, each with a RunWorkspace
+// reused across every run it ever takes (the same warm-heap property
+// the campaign runner gets per sweep, extended across sweeps).
+//
+// Scheduling is one FIFO queue of run tasks. Submission appends a job's
+// runs in plan order and a free worker takes the oldest task, so jobs
+// start in arrival order and each job's slots start in plan order (with
+// one worker they also finish in it). That is the fair order for this
+// daemon: a connection streams its reply in plan order, so a reply
+// waits for its slowest slot, and under LIFO scheduling a newer
+// request's runs would overtake an older request's. A task is a whole
+// simulation run, so one shared queue under one mutex costs nothing
+// measurable.
 //
 // Results are deterministic by construction, not by scheduling: every
 // run writes its metrics into its plan slot in the job, so whichever
@@ -74,7 +80,7 @@ class ServePool {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Enqueues every run of the job across the worker deques. The job
+  /// Appends every run of the job to the queue in plan order. The job
   /// must outlive its runs — hence shared_ptr; the pool drops its
   /// references as runs complete.
   void submit(const std::shared_ptr<ServeJob>& job);
@@ -89,18 +95,13 @@ class ServePool {
     std::size_t run_index = 0;
   };
 
-  void worker_main(std::size_t self);
-  [[nodiscard]] bool try_pop(std::size_t self, Task& out);
+  void worker_main();
 
   campaign::ExecutionOptions exec_;
-  // One deque per worker, all under one mutex: a task is an entire
-  // simulation run (milliseconds to seconds), so queue operations are
-  // noise and a single lock keeps the stealing logic trivially correct.
-  std::vector<std::deque<Task>> deques_;
-  std::mutex mutex_;
+  std::mutex mutex_;  // guards queue_ and stopping_
   std::condition_variable cv_;
+  std::deque<Task> queue_;
   bool stopping_ = false;
-  std::size_t next_deque_ = 0;  // round-robin dealing cursor
   std::vector<std::thread> workers_;
 };
 

@@ -1,7 +1,8 @@
-// Serve daemon surface: wire framing, the work-stealing pool's
-// determinism, and the Server end-to-end — concurrent clients receive
+// Serve daemon surface: wire framing, the FIFO run pool's determinism
+// and ordering, and the Server end-to-end — concurrent clients receive
 // byte-identical result streams for the same spec, errors keep the
-// connection usable, and request_stop() drains gracefully.
+// connection usable, multi-frame replies do not stall on delayed ACKs,
+// and request_stop() drains gracefully even past idle connections.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -9,8 +10,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,6 +40,25 @@ steps        = 4
 replications = 3
 seed_base    = 2025
 )";
+
+// Six runs of n = 20: service stays far below a millisecond per run
+// (well under 10 ms per spec even under sanitizers), so anything a reply
+// waits beyond that is waiting, not work.
+constexpr const char* kTinySpecText = R"(
+name         = servetiny
+topology     = uniform
+n            = 20
+radius       = 0.3
+variant      = basic, improved
+steps        = 4
+replications = 3
+seed_base    = 7
+)";
+
+// Upper bound on any single wait in these tests. It turns a scheduling
+// defect into a failure instead of a hung ctest; correct code never
+// comes near it.
+constexpr auto kWaitBound = std::chrono::seconds(30);
 
 TEST(Wire, FramesRoundTripAcrossASocketPair) {
   int fds[2];
@@ -119,10 +143,63 @@ TEST(ServePool, DrainFinishesQueuedWorkBeforeJoining) {
   }
 }
 
-/// Client helper: connect to the server, send one spec, read frames
-/// until EOF (write side shut down after the spec, like `ssmwn
-/// submit`), return the concatenated transcript.
-std::string submit_spec(std::uint16_t port, const std::string& spec) {
+/// Number of leading done slots if the done slots form a plan-order
+/// prefix, else SIZE_MAX. Caller holds job.mutex.
+std::size_t done_prefix(const serve::ServeJob& job) {
+  const auto first_pending = std::find(job.done.begin(), job.done.end(), 0);
+  if (std::find(first_pending, job.done.end(), 1) != job.done.end()) {
+    return SIZE_MAX;
+  }
+  return static_cast<std::size_t>(first_pending - job.done.begin());
+}
+
+/// Waits, holding `lock` on job.mutex between wakeups, until every slot
+/// of `job` is done; fails if a wakeup ever sees the done slots out of
+/// plan order, or if the job stops making progress.
+void expect_plan_order_completion(serve::ServeJob& job,
+                                  std::unique_lock<std::mutex>& lock,
+                                  const char* name) {
+  const auto count = [&job] {
+    return static_cast<std::size_t>(
+        std::count(job.done.begin(), job.done.end(), 1));
+  };
+  const std::size_t total = job.done.size();
+  std::size_t seen = 0;
+  while (seen < total) {
+    ASSERT_TRUE(job.cv.wait_for(lock, kWaitBound,
+                                [&] { return count() > seen; }))
+        << "job " << name << " stalled with " << seen << " of " << total
+        << " slots done";
+    seen = count();
+    ASSERT_EQ(done_prefix(job), seen)
+        << "job " << name << "'s slots finished out of plan order";
+  }
+}
+
+TEST(ServePool, RunsJobsInSubmissionOrderAndSlotsInPlanOrder) {
+  const auto plan = campaign::expand(campaign::parse_spec_text(kTinySpecText));
+  ASSERT_GE(plan.runs.size(), 2u);
+  serve::ServePool pool(1);
+  auto a = std::make_shared<serve::ServeJob>(plan);
+  auto b = std::make_shared<serve::ServeJob>(plan);
+  // A worker publishes a result under its job's mutex, so holding a
+  // job's mutex parks the worker at that job's next publication. While
+  // B is held, a worker that took any B slot before finishing A parks
+  // there and A never completes. (Locks are always taken B then A.)
+  std::unique_lock lock_b(b->mutex);
+  pool.submit(a);
+  pool.submit(b);
+  std::unique_lock lock_a(a->mutex);
+  expect_plan_order_completion(*a, lock_a, "A");
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(done_prefix(*b), 0u) << "a slot of B finished before A did";
+  lock_a.unlock();
+  expect_plan_order_completion(*b, lock_b, "B");
+}
+
+/// Client helper: a connected TCP socket with default options (Nagle
+/// on, the kernel's delayed ACKs), like `ssmwn submit`.
+int connect_client(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -132,6 +209,28 @@ std::string submit_spec(std::uint16_t port, const std::string& spec) {
   EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                       sizeof(addr)),
             0);
+  return fd;
+}
+
+/// Sends one spec on an open connection and reads its reply through the
+/// `E` frame. Returns the number of `R` frames.
+std::size_t exchange(int fd, const std::string& spec) {
+  serve::write_frame(fd, serve::FrameType::kSpec, spec);
+  std::size_t results = 0;
+  serve::Frame frame;
+  while (serve::read_frame(fd, frame)) {
+    if (frame.type == serve::FrameType::kResult) ++results;
+    if (frame.type == serve::FrameType::kEnd) break;
+    EXPECT_EQ(frame.type, serve::FrameType::kResult) << frame.body;
+  }
+  return results;
+}
+
+/// Client helper: connect to the server, send one spec, read frames
+/// until EOF (write side shut down after the spec, like `ssmwn
+/// submit`), return the concatenated transcript.
+std::string submit_spec(std::uint16_t port, const std::string& spec) {
+  const int fd = connect_client(port);
   serve::write_frame(fd, serve::FrameType::kSpec, spec);
   ::shutdown(fd, SHUT_WR);
   std::string transcript;
@@ -166,7 +265,7 @@ TEST(Server, ConcurrentClientsGetByteIdenticalStreamsAndDrainIsClean) {
     c3.join();
   }
   // The two identical specs yield byte-identical transcripts ending in
-  // an end frame, regardless of work-stealing interleavings.
+  // an end frame, regardless of how the pool interleaved the runs.
   EXPECT_FALSE(t1.empty());
   EXPECT_EQ(t1, t2);
   const auto plan = campaign::expand(campaign::parse_spec_text(kSpecText));
@@ -180,6 +279,71 @@ TEST(Server, ConcurrentClientsGetByteIdenticalStreamsAndDrainIsClean) {
   // from a SIGTERM handler — same entry point) and run() must return.
   server.request_stop();
   accept_thread.join();
+}
+
+TEST(Server, MultiFrameRepliesDoNotWaitForDelayedAcks) {
+  std::signal(SIGPIPE, SIG_IGN);
+  serve::ServerOptions options;
+  options.threads = 2;
+  serve::Server server(options);
+  std::thread accept_thread([&server] { server.run(); });
+
+  // Sequential specs on one connection, timed send to `E` frame. If the
+  // daemon let Nagle hold frame 2.. of a reply until this client's
+  // delayed ACK of frame 1, every reply would take ~40 ms.
+  const auto plan =
+      campaign::expand(campaign::parse_spec_text(kTinySpecText));
+  const int fd = connect_client(server.port());
+  std::vector<double> reply_ms;
+  for (int request = 0; request < 25; ++request) {
+    const auto start = std::chrono::steady_clock::now();
+    if (exchange(fd, kTinySpecText) != plan.runs.size()) {
+      ADD_FAILURE() << "request " << request << " got a short reply";
+      break;
+    }
+    reply_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  ::close(fd);
+  server.request_stop();
+  accept_thread.join();
+  ASSERT_FALSE(reply_ms.empty());
+
+  std::nth_element(reply_ms.begin(), reply_ms.begin() + reply_ms.size() / 2,
+                   reply_ms.end());
+  EXPECT_LT(reply_ms[reply_ms.size() / 2], 20.0)
+      << "median reply time over " << reply_ms.size() << " requests";
+}
+
+TEST(Server, StopDrainsPastAnIdleConnection) {
+  std::signal(SIGPIPE, SIG_IGN);
+  serve::ServerOptions options;
+  options.threads = 1;
+  serve::Server server(options);
+  std::promise<void> returned;
+  auto run_returned = returned.get_future();
+  std::thread accept_thread([&] {
+    server.run();
+    returned.set_value();
+  });
+
+  // One full exchange proves the connection was accepted and its thread
+  // is back waiting for the next frame; then the client goes idle.
+  const int fd = connect_client(server.port());
+  const auto plan =
+      campaign::expand(campaign::parse_spec_text(kTinySpecText));
+  EXPECT_EQ(exchange(fd, kTinySpecText), plan.runs.size());
+
+  server.request_stop();
+  const bool drained = run_returned.wait_for(std::chrono::seconds(2)) ==
+                       std::future_status::ready;
+  // Closing the client unblocks a connection thread that missed the
+  // stop, so a failure here reports instead of hanging ctest.
+  ::close(fd);
+  accept_thread.join();
+  EXPECT_TRUE(drained) << "run() still blocked 2 s after request_stop() "
+                          "with an idle client connected";
 }
 
 }  // namespace
