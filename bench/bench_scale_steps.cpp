@@ -12,9 +12,12 @@
 //               one digest-vector heap allocation per node per step
 //   * arena   — flat preallocated frame buffers, zero steady-state
 //               allocations, one thread
-//   * arena×T — the same, phases fanned out over T worker threads
+//   * parallel — the arena engine, phases fanned out over T worker
+//               threads
 //
-// Steps/sec and speedups vs the seed engine are reported per topology.
+// Steps/sec and speedups vs the seed engine are reported per topology,
+// with the arena engine's count of receivers that took the node-level
+// redelivery (every heard row bit-equal) in its timed steps.
 //
 // Environment:
 //   SSMWN_SCALE_MAX_N  cap on n (default 100000; CI smoke uses 1000)
@@ -23,6 +26,7 @@
 //   SSMWN_SEED         experiment seed
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 
@@ -43,9 +47,17 @@ core::DensityProtocol make_protocol(const bench::Instance& inst,
   return core::DensityProtocol(inst.ids, config, rng.split());
 }
 
+/// One engine's timed window: steps/sec plus the receivers that took
+/// the node-level redelivery during it (n per step once every row is
+/// bit-equal; always 0 on the seed engine).
+struct Measurement {
+  double sps = 0.0;
+  std::uint64_t node_redeliveries = 0;
+};
+
 /// Steady-state steps/sec: warm caches first, then time `steps` steps.
-double measure(const bench::Instance& inst, util::Rng& rng, bool legacy,
-               unsigned threads, std::size_t steps) {
+Measurement measure(const bench::Instance& inst, util::Rng& rng, bool legacy,
+                    unsigned threads, std::size_t steps) {
   util::Rng local = rng;  // identical protocol state for every engine
   auto protocol = make_protocol(inst, local);
   sim::PerfectDelivery loss;
@@ -53,12 +65,14 @@ double measure(const bench::Instance& inst, util::Rng& rng, bool legacy,
   network.set_legacy_engine(legacy);
   network.run(5);  // warm-up: fill caches, size arena buffers
 
+  const std::uint64_t before = network.node_redeliveries();
   const auto start = std::chrono::steady_clock::now();
   network.run(steps);
   const auto elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  return static_cast<double>(steps) / elapsed;
+  return {static_cast<double>(steps) / elapsed,
+          network.node_redeliveries() - before};
 }
 
 std::size_t steps_for(std::size_t n) {
@@ -96,8 +110,8 @@ int main() {
 
   util::Table table("Steps per second, steady state (higher is better)");
   table.header({"topology", "n", "mean deg", "seed 1t",
-                "arena 1t", "arena " + std::to_string(threads) + "t",
-                "arena/seed", "parallel/seed"});
+                "arena 1t", "parallel " + std::to_string(threads) + "t",
+                "arena/seed", "parallel/seed", "node-level/step"});
 
   for (const std::size_t n : sizes) {
     if (n > max_n) continue;
@@ -126,29 +140,38 @@ int main() {
           nodes == 0 ? 0.0
                      : 2.0 * static_cast<double>(inst.graph.edge_count()) /
                            static_cast<double>(nodes);
-      const double seed_sps = measure(inst, rng, /*legacy=*/true, 1, steps);
-      const double arena_sps = measure(inst, rng, /*legacy=*/false, 1, steps);
+      const double seed_sps =
+          measure(inst, rng, /*legacy=*/true, 1, steps).sps;
+      const Measurement arena = measure(inst, rng, /*legacy=*/false, 1, steps);
+      const double arena_sps = arena.sps;
       const double par_sps =
-          measure(inst, rng, /*legacy=*/false, threads, steps);
+          measure(inst, rng, /*legacy=*/false, threads, steps).sps;
       table.row({row.name, util::Table::integer(
                                static_cast<long long>(nodes)),
                  util::Table::num(mean_degree, 1),
                  util::Table::num(seed_sps, 1), util::Table::num(arena_sps, 1),
                  util::Table::num(par_sps, 1),
                  util::Table::num(arena_sps / seed_sps, 2) + "x",
-                 util::Table::num(par_sps / seed_sps, 2) + "x"});
+                 util::Table::num(par_sps / seed_sps, 2) + "x",
+                 util::Table::integer(static_cast<long long>(
+                     arena.node_redeliveries / steps))});
       json.add(std::string(row.name) + "/seed", nodes, 1, "steps_per_s",
                seed_sps);
       json.add(std::string(row.name) + "/arena", nodes, 1, "steps_per_s",
                arena_sps);
       json.add(std::string(row.name) + "/parallel", nodes, threads,
                "steps_per_s", par_sps);
+      json.add(std::string(row.name) + "/arena-node-redeliveries", nodes, 1,
+               "count", static_cast<double>(arena.node_redeliveries));
     }
   }
   table.note("seed = per-step owning frames (pre-arena engine); arena = "
-             "flat reusable buffers; xT = arena phases on T threads");
+             "flat reusable buffers; parallel Nt = arena phases on N threads");
   table.note("all engines step the identical protocol state; steady state "
              "after 5 warm-up steps");
+  table.note("node-level/step = receivers whose delivery and cache aging "
+             "collapsed to one call (every heard row bit-equal); n once "
+             "the whole field holds, identical for any thread count");
   bench::print(table);
   json.write();
   return 0;

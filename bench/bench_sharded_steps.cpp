@@ -18,6 +18,7 @@
 //   SSMWN_SEED         experiment seed
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 
@@ -131,6 +132,15 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
     std::fprintf(stderr, "EQUIVALENCE FAILURE: message counters diverged\n");
     return false;
   }
+  if (net_arena.node_redeliveries() == 0 ||
+      net_arena.node_redeliveries() != net_shard.node_redeliveries()) {
+    std::fprintf(stderr,
+                 "EQUIVALENCE FAILURE: node-level redeliveries diverged "
+                 "(arena %llu, sharded %llu; both must be nonzero)\n",
+                 static_cast<unsigned long long>(net_arena.node_redeliveries()),
+                 static_cast<unsigned long long>(net_shard.node_redeliveries()));
+    return false;
+  }
   if (net_arena.delta_rows_graded() == 0 ||
       net_arena.delta_rows_graded() != net_shard.delta_rows_graded()) {
     std::fprintf(stderr,
@@ -142,9 +152,11 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
   }
   std::printf("equivalence gate: PASS (n=%zu, %zu shards, %u threads, "
               "35 steps bit-identical across legacy/arena/sharded, "
-              "%llu delta-graded rows agree)\n\n",
+              "%llu delta-graded rows and %llu node-level redeliveries "
+              "agree)\n\n",
               sharded_inst.instance.graph.node_count(), shards, threads,
-              static_cast<unsigned long long>(net_arena.delta_rows_graded()));
+              static_cast<unsigned long long>(net_arena.delta_rows_graded()),
+              static_cast<unsigned long long>(net_arena.node_redeliveries()));
   return true;
 }
 
@@ -163,16 +175,23 @@ std::size_t steps_for(std::size_t n) {
 ///   steady — steps 10+: the clustering has converged (metric-degree-8
 ///            Poisson worlds settle ≈99% of frame rows by step 10), the
 ///            regime the old warm-up never reached at n = 1M.
+/// Alongside each steady rate: the receivers that took the node-level
+/// redelivery during the timed steady steps — nodes × steps once every
+/// frame row is bit-equal, the work count that explains the rate.
 struct RegimeSps {
   double active = 0.0;
   double steady = 0.0;
+  std::uint64_t steady_node_redeliveries = 0;
 };
 
 template <typename Network>
 RegimeSps time_regimes(Network& network, std::size_t steps) {
   RegimeSps out;
   out.active = time_steps(network, 3, 3);
-  out.steady = time_steps(network, 4, steps);
+  network.run(4);
+  const std::uint64_t before = network.node_redeliveries();
+  out.steady = time_steps(network, 0, steps);
+  out.steady_node_redeliveries = network.node_redeliveries() - before;
   return out;
 }
 
@@ -255,6 +274,10 @@ int main() {
     json.add("poisson/sharded-active", nodes, threads, "steps/s",
              shard.active);
     json.add("poisson/sharded", nodes, threads, "steps/s", shard.steady);
+    json.add("poisson/unsharded-node-redeliveries", nodes, 1, "count",
+             static_cast<double>(flat.steady_node_redeliveries));
+    json.add("poisson/sharded-node-redeliveries", nodes, threads, "count",
+             static_cast<double>(shard.steady_node_redeliveries));
   }
 
   table.note("both engines step the identical protocol state on the "
@@ -264,6 +287,9 @@ int main() {
              "over settled id sequences); steady = steps 10 onward (the "
              "converged regime the table's former single number claimed "
              "but, at n = 1M, never warmed up to)");
+  table.note("BENCH_sharded_steps.json also counts the receivers that "
+             "took the node-level redelivery in the timed steady steps "
+             "(n per step at a full hold; identical for both engines)");
   table.note("single-worker machines measure the sharding overhead "
              "(mailboxes + per-shard arenas); the parallel win needs "
              "SSMWN_THREADS > 1");

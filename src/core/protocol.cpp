@@ -106,6 +106,7 @@ DensityProtocol::DensityProtocol(topology::IdAssignment uids,
   // whatever the cache then holds (trivially 0 for an empty cache).
   links_fresh_.assign(uids_.size(), 0);
   resync_.assign(uids_.size(), 0);
+  node_redelivered_.assign(uids_.size(), 0);
   // Rank keys are trivially fresh at birth: every cache is empty.
   ranks_fresh_.assign(uids_.size(), 1);
 
@@ -368,6 +369,16 @@ bool DensityProtocol::redeliver_unchanged(graph::NodeId receiver,
   return true;
 }
 
+bool DensityProtocol::redeliver_node_unchanged(graph::NodeId receiver,
+                                               std::size_t degree) {
+  if (tracking_ || resync_[receiver] != 0 ||
+      aux_[receiver].cache.size() != degree) {
+    return false;
+  }
+  node_redelivered_[receiver] = 1;
+  return true;
+}
+
 void DensityProtocol::deliver(graph::NodeId receiver, const Frame& frame) {
   const FrameHeader header{
       .id = frame.id,
@@ -532,6 +543,12 @@ std::vector<graph::NodeId> DensityProtocol::take_external_wakes() {
 }
 
 void DensityProtocol::end_step(graph::NodeId node) {
+  if (node_redelivered_[node] != 0) {
+    // Every entry is back at age 1 and nothing was evicted, inserted or
+    // resynced — see redeliver_node_unchanged.
+    node_redelivered_[node] = 0;
+    return;
+  }
   auto& cache = aux_[node].cache;
   const bool maintain = maintain_links_ && links_fresh_[node] != 0;
   for (auto it = cache.begin(); it != cache.end();) {

@@ -287,6 +287,18 @@ class DensityProtocol {
   /// (the engine's proof says nothing about state planted by a fault
   /// injector).
   bool redeliver_unchanged(graph::NodeId receiver, const FrameHeader& header);
+  /// Node-level fast path (sim::NodeRedeliveryProtocol): the engine
+  /// proved every one of the receiver's `degree` heard rows bit-identical
+  /// to the rows it consumed last step. Accepts iff this step's per-edge
+  /// redeliveries plus its end_step would leave the receiver unchanged,
+  /// which holds when it was not externally mutated since the last
+  /// sweep, tracking is off, and its cache holds exactly `degree`
+  /// entries. Proof: last step stored every neighbor's row (ids are
+  /// unique, graphs loop-free) and aged it to 1; rules never touch
+  /// caches, so equal size leaves no room for a phantom entry, every
+  /// entry would go 1 → 0 → 1, and no eviction or compaction is due.
+  /// On acceptance the receiver's next end_step returns at once.
+  bool redeliver_node_unchanged(graph::NodeId receiver, std::size_t degree);
   /// Fast path for a frame whose *id sequence* the engine proved
   /// unchanged since this receiver last consumed it (payloads — DAG ids,
   /// metrics, head bits — may differ): e(N_p) depends only on which ids
@@ -552,6 +564,9 @@ class DensityProtocol {
   /// declines so the next sweep's full compares resync this receiver's
   /// cache. Cleared by `end_step` (which runs after that sweep).
   std::vector<std::uint8_t> resync_;
+  /// Set by an accepted `redeliver_node_unchanged`; the node's end_step
+  /// of the same step consumes it and skips the aging sweep.
+  std::vector<std::uint8_t> node_redelivered_;
   /// Memoized-≺-key counterpart of links_fresh_: when set, every cache
   /// entry of p carries rank_key == entry_key(...). Cleared by external
   /// mutation; restored by the repack at the next R2 firing. Internal

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -213,6 +214,15 @@ class Network {
     return delta_rows_graded_;
   }
 
+  /// Receivers whose whole delivery phase collapsed to one node-level
+  /// redelivery (NodeRedeliveryProtocol) across all steps so far — in
+  /// the steady regime, n per step. A sum of per-receiver decisions, so
+  /// identical for any thread count. Zero for protocols without the
+  /// extension and under the legacy/dirty steppers.
+  [[nodiscard]] std::uint64_t node_redeliveries() const noexcept {
+    return node_redeliveries_;
+  }
+
   /// Notifies the runtime that the observed graph was just patched with
   /// `delta` (dynamic-topology runs; the owner mutates the graph via
   /// graph::DynamicGraph, then calls this). The engine itself holds no
@@ -276,15 +286,23 @@ class Network {
   /// must write only state owned by `node`.
   template <typename F>
   void for_nodes(std::size_t n, F&& body) {
+    for_node_ranges(n, [&body](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) body(i);
+    });
+  }
+
+  /// Maps `body(begin, end)` over chunks of [0, n) — one chunk inline,
+  /// pool-sized chunks otherwise. For phases that fold a per-chunk tally.
+  template <typename F>
+  void for_node_ranges(std::size_t n, F&& body) {
     if (!pool_) {
-      for (std::size_t i = 0; i < n; ++i) body(i);
+      body(std::size_t{0}, n);
       return;
     }
     pool_->parallel_for(
         n, 0,
         [](void* ctx, std::size_t begin, std::size_t end) {
-          auto& f = *static_cast<std::remove_reference_t<F>*>(ctx);
-          for (std::size_t i = begin; i < end; ++i) f(i);
+          (*static_cast<std::remove_reference_t<F>*>(ctx))(begin, end);
         },
         &body);
   }
@@ -489,13 +507,16 @@ class Network {
     // induction on the rows a receiver has consumed; the protocol
     // declines them all for receivers whose cache was externally mutated
     // since the last sweep, falling through to the next-fuller path.
+    // A receiver whose every heard row is bit-equal is first offered
+    // whole (NodeRedeliveryProtocol): when the protocol accepts, its
+    // per-edge age resets and its end_step are skipped together.
     const bool hints = row_hints_valid_ && hear_all;
     bool deltas_ok = false;
     if constexpr (RedeliveryProtocol<Protocol>) {
       deltas_ok = hints && delta_.base_generation + 1 == generation_;
     }
-    for_nodes(n, [protocol, &arena, offsets, flat, hear_all, hints,
-                  deltas_ok, this](std::size_t q) {
+    const auto deliver_row = [protocol, &arena, offsets, flat, hear_all,
+                              hints, deltas_ok, this](std::size_t q) {
       for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e) {
         if (!hear_all && !incoming_[e]) continue;
         const graph::NodeId p = flat[e];
@@ -527,7 +548,23 @@ class Network {
             std::span(arena.pool.data() + arena.offsets[p],
                       arena.offsets[p + 1] - arena.offsets[p]));
       }
+    };
+    std::atomic<std::uint64_t> node_redeliveries{0};
+    for_node_ranges(n, [&](std::size_t begin, std::size_t end) {
+      std::uint64_t taken = 0;
+      for (std::size_t q = begin; q < end; ++q) {
+        if (hints && offer_node_redelivery(
+                         *protocol, static_cast<graph::NodeId>(q),
+                         flat.subspan(offsets[q], offsets[q + 1] - offsets[q]),
+                         row_unchanged_.data())) {
+          ++taken;
+          continue;
+        }
+        deliver_row(q);
+      }
+      node_redeliveries.fetch_add(taken, std::memory_order_relaxed);
     });
+    node_redeliveries_ += node_redeliveries.load(std::memory_order_relaxed);
 
     // Phase 4 + 5 (parallel): guarded rules, then cache aging.
     for_nodes(n, [protocol](std::size_t p) {
@@ -670,6 +707,7 @@ class Network {
   detail::DeltaStorage<Protocol> delta_;               // this step's delta rows
   std::uint64_t generation_ = 0;       // arena builds since construction
   std::uint64_t delta_rows_graded_ = 0;
+  std::uint64_t node_redeliveries_ = 0;
   bool prev_rows_built_ = false;   // prev_arena_ holds last step's rows
   bool row_hints_valid_ = false;   // ...and last step delivered them all
   ActivityTracker tracker_;                            // dirty stepping

@@ -114,6 +114,44 @@ concept RedeliveryProtocol =
       { P::digest_id_equal(digest, digest) } -> std::convertible_to<bool>;
     };
 
+/// Optional node-level redelivery extension, detected on its own so a
+/// forwarding adapter that implements only RedeliveryProtocol keeps the
+/// per-edge paths. When every sender row a receiver hears graded
+/// kRowBitsEqual (and row hints are valid), an engine may offer the
+/// whole receiver as `redeliver_node_unchanged(receiver, degree)` before
+/// its per-edge loop. The protocol returns true only when that step's
+/// per-edge redeliveries plus its end_step would leave the receiver
+/// bit-for-bit unchanged — it then owes nothing for the step but must
+/// make the receiver's end_step a no-op; on false the engine runs the
+/// per-edge paths as usual.
+template <typename P>
+concept NodeRedeliveryProtocol =
+    RedeliveryProtocol<P> &&
+    requires(P& p, graph::NodeId receiver, std::size_t degree) {
+      { p.redeliver_node_unchanged(receiver, degree) } ->
+          std::convertible_to<bool>;
+    };
+
+/// Offers receiver `q` whole (NodeRedeliveryProtocol) when every sender
+/// in `senders` (q's CSR row) graded kRowBitsEqual in `grades` (indexed
+/// by sender); the scan stops at the first miss. Callers first check
+/// that row hints are valid. Returns true iff the protocol accepted, in
+/// which case q's per-edge deliveries must be skipped this step. Always
+/// false for protocols without the extension.
+template <typename Protocol>
+[[nodiscard]] bool offer_node_redelivery(Protocol& protocol, graph::NodeId q,
+                                         std::span<const graph::NodeId> senders,
+                                         const unsigned char* grades) {
+  if constexpr (NodeRedeliveryProtocol<Protocol>) {
+    for (const graph::NodeId p : senders) {
+      if ((grades[p] & kRowBitsEqual) == 0) return false;
+    }
+    return protocol.redeliver_node_unchanged(q, senders.size());
+  } else {
+    return false;
+  }
+}
+
 /// Optional async extension: the protocol is told the virtual time of
 /// every delivery (seconds). Synchronous engines never call it; the
 /// event-driven engine calls it immediately before `deliver`.

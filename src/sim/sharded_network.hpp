@@ -221,6 +221,13 @@ class ShardedNetwork {
     return delta_rows_graded_;
   }
 
+  /// Receivers that took the node-level redelivery across all steps so
+  /// far — same contract as sim::Network::node_redeliveries(), folded
+  /// serially in shard order.
+  [[nodiscard]] std::uint64_t node_redeliveries() const noexcept {
+    return node_redeliveries_;
+  }
+
   /// Same contract as sim::Network::apply_topology_delta; additionally
   /// marks the static boundary-sender lists stale (a patched edge may
   /// create or destroy a boundary crossing).
@@ -311,6 +318,9 @@ class ShardedNetwork {
     std::vector<std::size_t> delta_offsets;
     std::vector<std::uint32_t> delta_counts;
     std::uint64_t delta_rows = 0;
+    // Receivers that took the node-level redelivery this step (folded
+    // serially, in shard order, into node_redeliveries_).
+    std::uint64_t node_redeliveries = 0;
     // Full stepping: for each destination shard, the owned nodes with at
     // least one neighbor there (ascending). Rebuilt after topology
     // changes; copied into the frame mailboxes every step.
@@ -608,10 +618,20 @@ class ShardedNetwork {
       gmask = deltas_ok ? static_cast<unsigned char>(0xFF)
                         : static_cast<unsigned char>(~kRowDeltaApplicable);
     }
+    // A receiver whose every heard row is bit-equal is first offered
+    // whole, as in sim::Network (NodeRedeliveryProtocol).
     for_shards([this, protocol, offsets, flat, hear_all, hints, gmask,
                 S](std::size_t t) {
       Shard& sh = shards_[t];
+      sh.node_redeliveries = 0;
       for (std::size_t q = sh.begin; q < sh.end; ++q) {
+        if (hints && offer_node_redelivery(
+                         *protocol, static_cast<graph::NodeId>(q),
+                         flat.subspan(offsets[q], offsets[q + 1] - offsets[q]),
+                         row_unchanged_.data())) {
+          ++sh.node_redeliveries;
+          continue;
+        }
         for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e) {
           if (!hear_all && !incoming_[e]) continue;
           const graph::NodeId p = flat[e];
@@ -674,7 +694,10 @@ class ShardedNetwork {
     if constexpr (RedeliveryProtocol<Protocol>) {
       // Serial fold of the per-shard delta tallies (shard order), so the
       // aggregate is identical for any thread count.
-      for (const Shard& sh : shards_) delta_rows_graded_ += sh.delta_rows;
+      for (const Shard& sh : shards_) {
+        delta_rows_graded_ += sh.delta_rows;
+        node_redeliveries_ += sh.node_redeliveries;
+      }
       prev_rows_built_ = true;
       // Hints are trustworthy next step only if *this* step delivered
       // every row to every listener (loss would leave some caches
@@ -921,6 +944,7 @@ class ShardedNetwork {
   std::uint64_t generation_ = 0;  // arena builds since construction
   std::uint64_t delta_base_generation_ = kNoGeneration;
   std::uint64_t delta_rows_graded_ = 0;
+  std::uint64_t node_redeliveries_ = 0;
   bool prev_rows_built_ = false;
   bool row_hints_valid_ = false;
   ActivityTracker stats_;                // aggregate counters only
