@@ -14,7 +14,7 @@
 
 #include "bench_support.hpp"
 #include "core/protocol.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "stabilize/convergence.hpp"
 
 namespace {
@@ -33,7 +33,7 @@ std::size_t protocol_stabilization_steps(const graph::Graph& g,
   config.delta_hint = g.max_degree();
   core::DensityProtocol protocol(ids, config, rng.split());
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
 
   // Legitimacy: the distributed state stopped changing (head values and
   // DAG names), checked against a snapshot.

@@ -24,7 +24,7 @@
 #include "bench_support.hpp"
 #include "core/protocol.hpp"
 #include "sim/async_network.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "stabilize/convergence.hpp"
 
 namespace {
@@ -52,7 +52,7 @@ SyncResult measure_sync(const bench::Instance& inst,
   util::Rng chaos(seed ^ 0xC0FFEE);
   protocol.corrupt_all(chaos);
   sim::PerfectDelivery loss;
-  sim::Network network(inst.graph, protocol, loss, 1);
+  sim::ShardedNetwork network(inst.graph, protocol, loss, 1, 1);
 
   // One sync step delivers every directed edge.
   const std::uint64_t messages_per_step = 2 * inst.graph.edge_count();

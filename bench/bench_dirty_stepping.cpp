@@ -37,7 +37,7 @@
 #include "graph/graph.hpp"
 #include "mobility/mobility.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "topology/incremental.hpp"
 
 namespace {
@@ -87,7 +87,8 @@ SideResult run_side(const graph::Graph& initial,
   protocol_store.emplace(ids, pconfig, protocol_rng);
 
   sim::PerfectDelivery perfect;
-  sim::Network network(graph_store->view(), *protocol_store, perfect, 1);
+  sim::ShardedNetwork network(graph_store->view(), *protocol_store, perfect,
+                              1, 1);
   network.set_stepping(stepping);
 
   for (std::size_t s = 0; s < kSettleSteps; ++s) network.step();

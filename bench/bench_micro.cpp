@@ -19,7 +19,7 @@
 #include "core/protocol.hpp"
 #include "core/rank.hpp"
 #include "core/soa_state.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "util/merge.hpp"
 #include "util/rng.hpp"
 
@@ -314,7 +314,7 @@ int main() {
       config.density_maintenance = maintenance;
       auto protocol = core::DensityProtocol(inst.ids, config, rng.split());
       sim::PerfectDelivery loss;
-      sim::Network network(inst.graph, protocol, loss, 1);
+      sim::ShardedNetwork network(inst.graph, protocol, loss, 1, 1);
       network.run(3);  // caches full, payloads still churning
       const double t = seconds_per_call([&] { network.step(); });
       const bool inc = maintenance == core::DensityMaintenance::kIncremental;

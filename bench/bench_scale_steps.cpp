@@ -4,19 +4,21 @@
 // The paper's step-count results (Table 2: neighbors after 1 step,
 // density after 2, head after 3 + tree depth) are interesting exactly
 // when a "step" over the whole field is cheap. This bench measures
-// steady-state Network::step() throughput for the distributed density
-// protocol on grid and random-geometric deployments at n ∈ {1k, 10k,
-// 100k}, across three engines:
+// steady-state step throughput for the distributed density protocol on
+// grid and random-geometric deployments at n ∈ {1k, 10k, 100k}, three
+// ways:
 //
-//   * seed    — the pre-arena engine: per-step owning ProtocolFrames,
-//               one digest-vector heap allocation per node per step
-//   * arena   — flat preallocated frame buffers, zero steady-state
-//               allocations, one thread
-//   * parallel — the arena engine, phases fanned out over T worker
-//               threads
+//   * seed    — the reference stepper (tests/support): per-step owning
+//               ProtocolFrames, one digest-vector heap allocation per
+//               node per step, no fast paths
+//   * arena   — sim::ShardedNetwork at one shard on one thread: flat
+//               preallocated frame buffers, zero steady-state
+//               allocations
+//   * parallel — the same engine with its per-node phases split into
+//               sub-ranges over T worker threads
 //
-// Steps/sec and speedups vs the seed engine are reported per topology,
-// with the arena engine's count of receivers that took the node-level
+// Steps/sec and speedups vs the seed stepper are reported per topology,
+// with the engine's count of receivers that took the node-level
 // redelivery (every heard row bit-equal) in its timed steps.
 //
 // Environment:
@@ -32,7 +34,8 @@
 
 #include "bench_support.hpp"
 #include "core/protocol.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
+#include "support/reference_network.hpp"
 
 namespace {
 
@@ -47,32 +50,40 @@ core::DensityProtocol make_protocol(const bench::Instance& inst,
   return core::DensityProtocol(inst.ids, config, rng.split());
 }
 
-/// One engine's timed window: steps/sec plus the receivers that took
-/// the node-level redelivery during it (n per step once every row is
-/// bit-equal; always 0 on the seed engine).
+/// One timed window: steps/sec plus the receivers that took the
+/// node-level redelivery during it (n per step once every row is
+/// bit-equal).
 struct Measurement {
   double sps = 0.0;
   std::uint64_t node_redeliveries = 0;
 };
 
 /// Steady-state steps/sec: warm caches first, then time `steps` steps.
-Measurement measure(const bench::Instance& inst, util::Rng& rng, bool legacy,
+/// `threads == 0` runs the reference stepper, anything else the engine
+/// at one shard on that many threads.
+Measurement measure(const bench::Instance& inst, util::Rng& rng,
                     unsigned threads, std::size_t steps) {
   util::Rng local = rng;  // identical protocol state for every engine
   auto protocol = make_protocol(inst, local);
   sim::PerfectDelivery loss;
-  sim::Network network(inst.graph, protocol, loss, threads);
-  network.set_legacy_engine(legacy);
-  network.run(5);  // warm-up: fill caches, size arena buffers
-
-  const std::uint64_t before = network.node_redeliveries();
-  const auto start = std::chrono::steady_clock::now();
-  network.run(steps);
-  const auto elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return {static_cast<double>(steps) / elapsed,
-          network.node_redeliveries() - before};
+  const auto timed = [steps](auto& network, auto node_count) {
+    network.run(5);  // warm-up: fill caches, size arena buffers
+    const std::uint64_t before = node_count(network);
+    const auto start = std::chrono::steady_clock::now();
+    network.run(steps);
+    const auto elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    return Measurement{static_cast<double>(steps) / elapsed,
+                       node_count(network) - before};
+  };
+  if (threads == 0) {
+    testsupport::ReferenceNetwork network(inst.graph, protocol, loss);
+    return timed(network, [](const auto&) { return std::uint64_t{0}; });
+  }
+  sim::ShardedNetwork network(inst.graph, protocol, loss, 1, threads);
+  return timed(network,
+               [](const auto& net) { return net.node_redeliveries(); });
 }
 
 std::size_t steps_for(std::size_t n) {
@@ -140,12 +151,10 @@ int main() {
           nodes == 0 ? 0.0
                      : 2.0 * static_cast<double>(inst.graph.edge_count()) /
                            static_cast<double>(nodes);
-      const double seed_sps =
-          measure(inst, rng, /*legacy=*/true, 1, steps).sps;
-      const Measurement arena = measure(inst, rng, /*legacy=*/false, 1, steps);
+      const double seed_sps = measure(inst, rng, 0, steps).sps;
+      const Measurement arena = measure(inst, rng, 1, steps);
       const double arena_sps = arena.sps;
-      const double par_sps =
-          measure(inst, rng, /*legacy=*/false, threads, steps).sps;
+      const double par_sps = measure(inst, rng, threads, steps).sps;
       table.row({row.name, util::Table::integer(
                                static_cast<long long>(nodes)),
                  util::Table::num(mean_degree, 1),
@@ -165,9 +174,10 @@ int main() {
                "count", static_cast<double>(arena.node_redeliveries));
     }
   }
-  table.note("seed = per-step owning frames (pre-arena engine); arena = "
-             "flat reusable buffers; parallel Nt = arena phases on N threads");
-  table.note("all engines step the identical protocol state; steady state "
+  table.note("seed = reference stepper (per-step owning frames, no fast "
+             "paths); arena = the engine at one shard, flat reusable "
+             "buffers; parallel Nt = the same on N threads");
+  table.note("all columns step the identical protocol state; steady state "
              "after 5 warm-up steps");
   table.note("node-level/step = receivers whose delivery and cache aging "
              "collapsed to one call (every heard row bit-equal); n once "

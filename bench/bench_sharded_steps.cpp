@@ -5,9 +5,10 @@
 // nodes are renumbered cell-major (graph::plan_spatial_shards), each
 // shard owns a contiguous range plus its own frame arena, and all
 // cross-shard traffic rides per-shard-pair mailboxes. This bench runs
-// the full equivalence gate first — the sharded engine must be
-// bit-identical to sim::Network, or the numbers are meaningless — then
-// measures steady-state steps/sec for both engines on random-geometric
+// the full equivalence gate first — the engine at S spatial shards must
+// be bit-identical to the reference stepper and to itself at one
+// shard, or the numbers are meaningless — then measures steady-state
+// steps/sec at one shard and at S shards on random-geometric
 // deployments at n ∈ {10k, 100k, 1M, 10M}.
 //
 // Environment:
@@ -25,8 +26,8 @@
 #include "bench_support.hpp"
 #include "core/protocol.hpp"
 #include "graph/partition.hpp"
-#include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/reference_network.hpp"
 
 namespace {
 
@@ -81,24 +82,25 @@ ShardedInstance shard_instance(const bench::Instance& inst, double radius,
 /// The gate: lockstep steps on a mid-size world must stay
 /// bit-identical (state and message counters) or the bench aborts —
 /// a fast sharded engine that drifts is a bug, not a result. Three
-/// engines run side by side: the legacy flat engine (no fast paths) as
-/// the reference, the arena flat engine, and the sharded engine. After
-/// 20 clean steps a mass fault is injected into all three so the
-/// recovery window exercises the redelivery fast paths — including the
-/// delta-encoded frames, whose grading counters must also agree across
-/// the two delta-capable engines and must actually fire.
+/// executions run side by side: the reference stepper (owning frames,
+/// no fast paths), the engine at one shard, and the engine at the
+/// spatial shard plan. After 20 clean steps a mass fault is injected
+/// into all three so the recovery window exercises the redelivery fast
+/// paths — including the delta-encoded frames. The work counters
+/// (messages, node-level redeliveries, delta-graded rows) must be
+/// exactly equal between one shard and S shards, and must all fire.
 bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
   const auto inst = bench::poisson_instance(2000.0, 0.035, rng);
   const auto sharded_inst = shard_instance(inst, 0.035, shards);
+  const auto& g = sharded_inst.instance.graph;
   auto reference = make_protocol(sharded_inst.instance, rng);
-  auto arena = make_protocol(sharded_inst.instance, rng);
+  auto single = make_protocol(sharded_inst.instance, rng);
   auto candidate = make_protocol(sharded_inst.instance, rng);
   sim::PerfectDelivery loss_a, loss_b, loss_c;
-  sim::Network net_ref(sharded_inst.instance.graph, reference, loss_a, 1);
-  net_ref.set_legacy_engine(true);
-  sim::Network net_arena(sharded_inst.instance.graph, arena, loss_b, 1);
-  sim::ShardedNetwork net_shard(sharded_inst.instance.graph, candidate,
-                                loss_c, sharded_inst.bounds, threads);
+  testsupport::ReferenceNetwork net_ref(g, reference, loss_a);
+  sim::ShardedNetwork net_one(g, single, loss_b, 1, threads);
+  sim::ShardedNetwork net_shard(g, candidate, loss_c, sharded_inst.bounds,
+                                threads);
   const auto check = [&](std::size_t s, const core::DensityProtocol& other,
                          const char* label) -> bool {
     if (const auto div = core::first_divergent_node(reference, other)) {
@@ -117,46 +119,43 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
       // payload/delta fast paths carry the traffic.
       util::Rng f1(20050612), f2(20050612), f3(20050612);
       reference.corrupt_fraction(f1, 0.2);
-      arena.corrupt_fraction(f2, 0.2);
+      single.corrupt_fraction(f2, 0.2);
       candidate.corrupt_fraction(f3, 0.2);
     }
     net_ref.step();
-    net_arena.step();
+    net_one.step();
     net_shard.step();
-    if (!check(s, arena, "arena flat") || !check(s, candidate, "sharded")) {
+    if (!check(s, single, "one shard") || !check(s, candidate, "sharded")) {
       return false;
     }
   }
-  if (net_ref.messages_delivered() != net_arena.messages_delivered() ||
-      net_ref.messages_delivered() != net_shard.messages_delivered()) {
-    std::fprintf(stderr, "EQUIVALENCE FAILURE: message counters diverged\n");
-    return false;
-  }
-  if (net_arena.node_redeliveries() == 0 ||
-      net_arena.node_redeliveries() != net_shard.node_redeliveries()) {
+  const auto counts_agree = [](const char* what, std::uint64_t one,
+                               std::uint64_t many) {
+    if (one != 0 && one == many) return true;
     std::fprintf(stderr,
-                 "EQUIVALENCE FAILURE: node-level redeliveries diverged "
-                 "(arena %llu, sharded %llu; both must be nonzero)\n",
-                 static_cast<unsigned long long>(net_arena.node_redeliveries()),
-                 static_cast<unsigned long long>(net_shard.node_redeliveries()));
+                 "EQUIVALENCE FAILURE: %s diverged (one shard %llu, "
+                 "sharded %llu; both must be nonzero)\n",
+                 what, static_cast<unsigned long long>(one),
+                 static_cast<unsigned long long>(many));
     return false;
-  }
-  if (net_arena.delta_rows_graded() == 0 ||
-      net_arena.delta_rows_graded() != net_shard.delta_rows_graded()) {
-    std::fprintf(stderr,
-                 "EQUIVALENCE FAILURE: delta-frame grading diverged "
-                 "(arena %llu, sharded %llu; both must be nonzero)\n",
-                 static_cast<unsigned long long>(net_arena.delta_rows_graded()),
-                 static_cast<unsigned long long>(net_shard.delta_rows_graded()));
+  };
+  if (net_ref.messages_delivered() != net_one.messages_delivered() ||
+      !counts_agree("message counters", net_one.messages_delivered(),
+                    net_shard.messages_delivered()) ||
+      !counts_agree("node-level redeliveries", net_one.node_redeliveries(),
+                    net_shard.node_redeliveries()) ||
+      !counts_agree("delta-frame grading", net_one.delta_rows_graded(),
+                    net_shard.delta_rows_graded())) {
     return false;
   }
   std::printf("equivalence gate: PASS (n=%zu, %zu shards, %u threads, "
-              "35 steps bit-identical across legacy/arena/sharded, "
-              "%llu delta-graded rows and %llu node-level redeliveries "
-              "agree)\n\n",
-              sharded_inst.instance.graph.node_count(), shards, threads,
-              static_cast<unsigned long long>(net_arena.delta_rows_graded()),
-              static_cast<unsigned long long>(net_arena.node_redeliveries()));
+              "35 steps bit-identical across reference/one shard/sharded, "
+              "%llu messages, %llu delta-graded rows and %llu node-level "
+              "redeliveries agree)\n\n",
+              g.node_count(), shards, threads,
+              static_cast<unsigned long long>(net_one.messages_delivered()),
+              static_cast<unsigned long long>(net_one.delta_rows_graded()),
+              static_cast<unsigned long long>(net_one.node_redeliveries()));
   return true;
 }
 
@@ -166,9 +165,9 @@ std::size_t steps_for(std::size_t n) {
   return 20;
 }
 
-/// Both engines' cost now depends on the regime (the redelivery fast
-/// paths collapse deliveries of settled rows), so one number no longer
-/// characterizes a step. Measured per engine, in one run:
+/// A step's cost depends on the regime (the redelivery fast paths
+/// collapse deliveries of settled rows), so one number no longer
+/// characterizes it. Measured per shard count, in one run:
 ///   active — steps 3..5: caches full, id sequences held, but nearly
 ///            every digest payload still churning (the post-fault /
 ///            post-cold-start recovery regime);
@@ -211,8 +210,8 @@ int main() {
       "Sharded — spatial shards + boundary mailboxes at scale",
       "Cell-major renumbered shards, each with its own frame arena; "
       "cross-shard frames ride per-shard-pair mailboxes "
-      "(docs/ARCHITECTURE.md §8). Bit-identical to sim::Network — gated "
-      "below before any timing",
+      "(docs/ARCHITECTURE.md §8). Bit-identical at any shard count and to "
+      "the reference stepper — gated below before any timing",
       1);
 
   util::Rng root(util::bench_seed());
@@ -251,7 +250,8 @@ int main() {
     {
       auto protocol = make_protocol(sharded_inst.instance, rng);
       sim::PerfectDelivery loss;
-      sim::Network network(sharded_inst.instance.graph, protocol, loss, 1);
+      sim::ShardedNetwork network(sharded_inst.instance.graph, protocol,
+                                  loss, 1, 1);
       flat = time_regimes(network, steps);
     }
     RegimeSps shard;
@@ -280,8 +280,9 @@ int main() {
              static_cast<double>(shard.steady_node_redeliveries));
   }
 
-  table.note("both engines step the identical protocol state on the "
-             "cell-major renumbered world; the sharded rows use " +
+  table.note("both rows step the identical protocol state on the "
+             "cell-major renumbered world; unsharded = one shard on one "
+             "thread, the sharded rows use " +
              std::to_string(shards) + " spatial shards");
   table.note("active = steps 3..5 (recovery regime: full payload churn "
              "over settled id sequences); steady = steps 10 onward (the "
@@ -289,7 +290,7 @@ int main() {
              "but, at n = 1M, never warmed up to)");
   table.note("BENCH_sharded_steps.json also counts the receivers that "
              "took the node-level redelivery in the timed steady steps "
-             "(n per step at a full hold; identical for both engines)");
+             "(n per step at a full hold; identical at any shard count)");
   table.note("single-worker machines measure the sharding overhead "
              "(mailboxes + per-shard arenas); the parallel win needs "
              "SSMWN_THREADS > 1");

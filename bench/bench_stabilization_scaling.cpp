@@ -18,7 +18,7 @@
 
 #include "bench_support.hpp"
 #include "core/protocol.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "stabilize/convergence.hpp"
 
 namespace {
@@ -33,7 +33,7 @@ std::size_t steps_to_quiescence(const graph::Graph& g,
   config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
   core::DensityProtocol protocol(ids, config, rng.split());
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
 
   auto snapshot = [&] {
     return std::make_pair(protocol.head_values(), protocol.parent_values());

@@ -15,7 +15,7 @@
 #include "bench_support.hpp"
 #include "core/protocol.hpp"
 #include "graph/forest.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 
 namespace {
 
@@ -87,7 +87,7 @@ int main() {
     config.delta_hint = inst.graph.max_degree();
     core::DensityProtocol protocol(inst.ids, config, rng.split());
     sim::PerfectDelivery loss;
-    sim::Network network(inst.graph, protocol, loss);
+    sim::ShardedNetwork network(inst.graph, protocol, loss, 1);
     for (std::size_t step = 1; step <= max_steps; ++step) {
       network.step();
       const auto f = measure(protocol, inst.graph, inst.ids, oracle);

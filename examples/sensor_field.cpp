@@ -12,7 +12,7 @@
 #include "core/clustering.hpp"
 #include "core/protocol.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "stabilize/convergence.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
@@ -50,7 +50,7 @@ int main() {
   config.cache_max_age = 12;
   core::DensityProtocol protocol(ids, config, rng.split());
   sim::BernoulliDelivery medium(0.8, rng.split());
-  sim::Network network(graph, protocol, medium);
+  sim::ShardedNetwork network(graph, protocol, medium, 1);
 
   // Oracle only used to *report* convergence; the sensors never see it.
   const auto oracle_opts = config.cluster;

@@ -656,7 +656,8 @@ CampaignPlan expand(const CampaignSpec& spec) {
               config.scheduler == SchedulerKind::kSync && config.tau < 1.0) {
             // The synchronous dirty stepper elides whole nodes per tick,
             // which is only bit-identical when the medium is loss-free
-            // (sim::Network::set_stepping enforces the same at runtime).
+            // (sim::ShardedNetwork::set_stepping enforces the same at
+            // runtime).
             fail("stepping=dirty on the synchronous engine requires tau=1 "
                  "(a lossy medium draws per-link randomness for skipped "
                  "nodes; use scheduler=async for lossy dirty runs)");

@@ -5,7 +5,7 @@
 // that model a concrete representation: nodes are dense indices 0..n-1 and
 // adjacency is stored in CSR (compressed sparse row) form — one flat,
 // cache-contiguous array of neighbor indices plus per-node offsets — so
-// that the simulation hot path (`sim::Network::step` touching every
+// that the simulation hot path (`sim::ShardedNetwork::step` touching every
 // directed edge every step) streams memory instead of chasing one heap
 // allocation per node. Edges are staged in per-node vectors during
 // construction; `finalize()` sorts them, packs the CSR arrays, and

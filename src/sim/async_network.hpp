@@ -1,8 +1,8 @@
 // Event-driven asynchronous network runtime.
 //
 // The paper proves self-stabilization for an *asynchronous* wireless
-// network; the synchronous Δ(τ) stepper (sim::Network) is only the
-// abstraction its step-count bounds are phrased in. This engine
+// network; the synchronous Δ(τ) stepper (sim::ShardedNetwork) is only
+// the abstraction its step-count bounds are phrased in. This engine
 // exercises the theorem in the regime it is actually stated for: each
 // node wakes on its own (jittered) broadcast period, fires its guarded
 // rules against whatever its caches hold, broadcasts a frame, and each

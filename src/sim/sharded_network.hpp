@@ -1,52 +1,78 @@
-// Spatially sharded synchronous step engine — sim::Network's phase
-// structure, parallelized over contiguous node ranges ("shards")
-// instead of raw index chunks, with all cross-shard traffic funneled
-// through per-shard-pair mailboxes.
+// The synchronous-step engine — the lockstep instance of the Scheduler
+// seam (sim/scheduler.hpp; the event-driven instance is
+// sim/async_network.hpp).
 //
-// Why shards instead of Network's flat for_nodes? At million-node scale
-// the win is ownership: a shard owns a contiguous node range (ideally
-// cell-major renumbered via graph::plan_spatial_shards, so radio
-// neighbors are range-near), its own frame arena, and — in dirty mode —
-// its own ActivityTracker. Every parallel phase is "one task per
-// shard", each task touching only shard-owned state plus mailboxes it
-// exclusively writes (keyed by source shard) or exclusively reads
-// (keyed by destination shard, filled strictly before the phase
-// barrier). That is the seam later multi-process / NUMA work plugs
-// into: a mailbox flush is the message a process boundary would send.
+// One `step()` realizes the paper's Δ(τ) time unit: every node builds a
+// frame from its shared variables and locally broadcasts it; the loss
+// model decides per receiver whether the frame is heard; then every node
+// atomically executes its guarded rules against its (possibly stale)
+// caches. Reception is double-buffered — all frames of a step are built
+// from the state *before* any rule of that step fires, exactly matching
+// the synchronous semantics the paper's step-count arguments use.
 //
-// Determinism argument (the property the sharded differential tests
-// assert): the engine runs the exact phase sequence of sim::Network —
-// build frames, decide losses, deliver, tick, end-step — with a barrier
-// between phases. Within a phase, each node is processed exactly once
-// with inputs fixed at the barrier, and each receiver pulls its heard
-// frames in ascending-sender order (its sorted CSR row), the same order
-// the unsharded engine uses. Mailboxes are filled in a fixed
-// (src-shard, dst-shard, admission) order — admission order is
-// ascending sender id, because shard sweeps walk their range in order —
-// and drained by binary search per edge, so *which* bytes a receiver
-// sees never depends on shard count or thread count. Stateful loss
-// models keep their serial sender-major polling pass, identical RNG
-// draw sequence included. Hence: bit-identical to sim::Network at any
+// The Protocol type supplies the node behavior through the arena
+// extension (sim/scheduler.hpp's ArenaProtocol): fixed-size frame
+// headers plus variable-length digest lists written into flat,
+// engine-owned buffers, so a steady-state step performs zero heap
+// allocations. It also provides `tick(node)` (run the guarded rules)
+// and `end_step(node)` (cache aging); redelivery, node-level
+// redelivery, topology-awareness and quiescence are optional
+// extensions detected with `if constexpr`.
+//
+// Shards. The node range [0, n) is carved into S contiguous,
+// shard-owned ranges (S = 1 is the plain unsharded engine). A shard
+// owns its frame arena and — in dirty mode — its own ActivityTracker;
+// at million-node scale, cell-major renumbering via
+// graph::plan_spatial_shards keeps radio neighbors range-near. All
+// cross-shard traffic is funneled through per-shard-pair mailboxes,
+// each written by exactly one shard and read by exactly one other —
+// the seam later multi-process / NUMA work plugs into: a mailbox flush
+// is the message a process boundary would send.
+//
+// Threads. Shards and threads are independent. Per-node phases (frame
+// build, row grading and delta extraction, delivery, tick, end_step)
+// map over node ranges clipped to shard bounds — one range per shard
+// when S >= threads, pool-sized sub-ranges otherwise — and write only
+// the state of the node they are indexed by. Per-shard serial work
+// (offset and delta prefix sums, the mailbox flush, the boundary
+// rebuild, activity propagation into a shard's tracker) runs one task
+// per shard.
+//
+// Determinism argument (the property the differential tests assert
+// against the reference oracle in tests/support): every step runs the
+// phase sequence build frames, decide losses, deliver, tick, end-step,
+// with a barrier between phases. Within a phase each node is processed
+// exactly once with inputs fixed at the barrier, and each receiver
+// pulls its heard frames in ascending-sender order (its sorted CSR
+// row). Mailboxes are filled in a fixed (src-shard, dst-shard,
+// admission) order — admission order is ascending sender id, because
+// shard sweeps walk their range in order — and drained by binary
+// search per edge, so *which* bytes a receiver sees never depends on
+// shard count or thread count. Stateful loss models are polled in one
+// serial sender-major pass, so their RNG draw sequence is fixed too.
+// Per-range tallies are summed, so every counter is identical at any
 // shard/thread count, full or dirty stepping (docs/ARCHITECTURE.md §8).
 //
-// Dirty-region composition (PR 6): each shard's tracker wakes and
-// drains locally; a wake that crosses a shard boundary rides a
-// wake-mailbox flushed at the step's final barrier and drained at the
-// next step's first phase — one step of latency is exactly what the
-// unsharded stepper's double-buffered wake set gives, so the union of
-// the per-shard active sets equals the global active set step for step.
-// Frames a shard needs from remote senders are requested through a
-// request-mailbox and answered through a frame-mailbox within the same
-// step (two barriers), so quiescent shards with no requests do no work.
+// Dirty-region composition: each shard's tracker wakes and drains
+// locally; a wake that crosses a shard boundary rides a wake-mailbox
+// flushed at the step's final barrier and drained at the next step's
+// first phase — one step of latency is exactly what the
+// double-buffered wake set gives, so the union of the per-shard active
+// sets equals the global active set step for step. Frames a shard
+// needs from remote senders are requested through a request-mailbox
+// and answered through a frame-mailbox within the same step (two
+// barriers), so quiescent shards with no requests do no work.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -63,16 +89,17 @@ template <typename Protocol>
 class ShardedNetwork {
   static_assert(ArenaProtocol<Protocol>,
                 "ShardedNetwork requires the arena extension (flat "
-                "headers + digest pools); the legacy owning-frame "
-                "engine has no shardable storage");
+                "headers + digest pools)");
 
  public:
   /// `bounds` carves [0, n) into shard-owned ranges (see
   /// graph::ShardPlan::bounds — front 0, back n, monotone; empty ranges
   /// allowed). Throws std::invalid_argument on a malformed cover.
-  /// `threads` is the step-engine parallelism (1 = fully inline,
-  /// 0 = hardware concurrency); shards and threads are independent —
-  /// one worker can sweep many shards, and extra workers idle.
+  /// The graph reference is observed, not owned; it may be swapped
+  /// between steps via `set_graph`. `threads` is the step-engine
+  /// parallelism (1 = fully inline, 0 = hardware concurrency); shards
+  /// and threads are independent — one worker can sweep many shards,
+  /// and fewer shards than workers split into sub-ranges.
   ShardedNetwork(const graph::Graph& g, Protocol& protocol, LossModel& loss,
                  std::vector<std::size_t> bounds, unsigned threads = 1)
       : graph_(&g), protocol_(&protocol), loss_(&loss) {
@@ -98,9 +125,9 @@ class ShardedNetwork {
   }
 
   /// Convenience: `shards` equal contiguous chunks (clamped to
-  /// [1, max(1, n)] like graph::plan_contiguous_shards). For spatial
-  /// locality, build the bounds from graph::plan_spatial_shards and a
-  /// permuted graph instead.
+  /// [1, max(1, n)] like graph::plan_contiguous_shards, so 0 and 1 both
+  /// mean the unsharded engine). For spatial locality, build the bounds
+  /// from graph::plan_spatial_shards and a permuted graph instead.
   ShardedNetwork(const graph::Graph& g, Protocol& protocol, LossModel& loss,
                  std::size_t shards, unsigned threads = 1)
       : ShardedNetwork(
@@ -117,7 +144,9 @@ class ShardedNetwork {
 
   /// Swaps the observed graph (mobility rebuild mode). The node count
   /// must still match the shard bounds — a sharded run renumbers once,
-  /// up front, and keeps the numbering for its lifetime.
+  /// up front, and keeps the numbering for its lifetime. A wholesale
+  /// swap invalidates every adjacency assumption the activity sets
+  /// encode, so dirty mode wakes everyone.
   void set_graph(const graph::Graph& g) {
     if (g.node_count() != bounds_.back()) {
       throw std::invalid_argument(
@@ -134,8 +163,14 @@ class ShardedNetwork {
     }
   }
 
-  /// Same contract as sim::Network::set_stepping — dirty mode needs the
-  /// quiescence extension and a loss-free medium; throws otherwise.
+  /// Selects the stepper. Dirty-region stepping requires the
+  /// quiescence extension and a loss model that always delivers
+  /// (skipping a node is only provably a no-op when its inputs are
+  /// deterministic; a lossy medium re-randomizes them — and skipped
+  /// deliveries would desynchronize the loss model's RNG draw sequence
+  /// from the full stepper's). Throws std::invalid_argument otherwise.
+  /// Entering dirty mode arms the protocol's change detector and wakes
+  /// every node; leaving it disarms the detector.
   void set_stepping(Stepping mode) {
     if (mode == stepping_) return;
     invalidate_row_hints();
@@ -174,10 +209,10 @@ class ShardedNetwork {
 
   [[nodiscard]] Stepping stepping() const noexcept { return stepping_; }
 
-  /// Aggregate stepped/skipped counters across all shards — same
-  /// numbers sim::Network::activity() reports for the same run. The
-  /// aggregate keeps no work list; per-shard lists are at
-  /// `shard_activity(s)`.
+  /// Aggregate stepped/skipped counters across all shards:
+  /// `activity().last_nodes_stepped() == 0` after a step is the
+  /// quiescence property the tests assert. The aggregate keeps no work
+  /// list; per-shard lists are at `shard_activity(s)`.
   [[nodiscard]] const ActivityTracker& activity() const noexcept {
     return stats_;
   }
@@ -186,14 +221,20 @@ class ShardedNetwork {
     return shards_[s].tracker;
   }
 
-  /// Wakes each listed node and its closed neighborhood (dirty mode
-  /// only), crossing shard boundaries directly — callers run between
-  /// steps, where every tracker is safely writable.
+  /// Seeds the activity set from outside knowledge — e.g.
+  /// `graph::DynamicGraph::dirty_nodes()` after a live patch: wakes each
+  /// listed node and its closed neighborhood (dirty mode only), crossing
+  /// shard boundaries directly — callers run between steps, where every
+  /// tracker is safely writable.
   void mark_dirty(std::span<const graph::NodeId> nodes) {
     if (stepping_ != Stepping::kDirty) return;
     for (const graph::NodeId p : nodes) wake_closed(p);
   }
 
+  /// Rebuilds the worker pool synchronously; steps use the new size
+  /// from the next call. 0 = hardware concurrency; absurd counts (e.g.
+  /// an unsigned-cast -1) are clamped. `thread_count()` reports the
+  /// effective size after clamping.
   void set_threads(unsigned threads) {
     if (threads == 0) {
       threads = std::max(1u, std::thread::hardware_concurrency());
@@ -210,27 +251,39 @@ class ShardedNetwork {
 
   [[nodiscard]] std::size_t steps_run() const noexcept { return steps_; }
 
+  /// Frame receptions that actually happened (post-loss) across all
+  /// steps so far. Counted in serial phases or folded per shard, so
+  /// identical for any shard/thread count and full or dirty stepping.
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept {
     return messages_delivered_;
   }
 
-  /// Sender rows graded delta-applicable across all steps so far —
-  /// same contract as sim::Network::delta_rows_graded(): folded
-  /// serially in shard order, so identical for any shard/thread count.
+  /// Sender rows graded delta-applicable (id sequence held, a sparse
+  /// subset of digest payloads changed) across all steps so far —
+  /// folded serially in shard order, so identical for any shard/thread
+  /// count. Zero for protocols without the redelivery extension and
+  /// under the dirty stepper.
   [[nodiscard]] std::uint64_t delta_rows_graded() const noexcept {
     return delta_rows_graded_;
   }
 
-  /// Receivers that took the node-level redelivery across all steps so
-  /// far — same contract as sim::Network::node_redeliveries(), folded
-  /// serially in shard order.
+  /// Receivers whose whole delivery phase collapsed to one node-level
+  /// redelivery (NodeRedeliveryProtocol) across all steps so far — in
+  /// the steady regime, n per step. A sum of per-receiver decisions, so
+  /// identical for any shard/thread count. Zero for protocols without
+  /// the extension and under the dirty stepper.
   [[nodiscard]] std::uint64_t node_redeliveries() const noexcept {
     return node_redeliveries_;
   }
 
-  /// Same contract as sim::Network::apply_topology_delta; additionally
-  /// marks the static boundary-sender lists stale (a patched edge may
-  /// create or destroy a boundary crossing).
+  /// Notifies the engine that the observed graph was just patched with
+  /// `delta` (dynamic-topology runs; the owner mutates the graph via
+  /// graph::DynamicGraph, then calls this). Topology-aware protocols
+  /// are told about every severed link so stale neighbor caches die now
+  /// rather than by aging; the boundary-sender lists go stale (a
+  /// patched edge may create or destroy a boundary crossing); dirty
+  /// mode wakes the closed neighborhoods of both endpoints of every
+  /// patched edge. Call between steps.
   void apply_topology_delta(const graph::EdgeDelta& delta) {
     invalidate_row_hints();
     if constexpr (TopologyAwareProtocol<Protocol>) {
@@ -310,17 +363,14 @@ class ShardedNetwork {
     std::vector<std::size_t> prev_offsets;
     // This step's delta rows (redelivery protocols, full stepping): the
     // changed digests of every delta-graded owned sender, ascending id,
-    // CSR over local sender index — the shard-local mirror of
-    // sim::Network's DeltaStorage. delta_rows counts the senders graded
+    // CSR over local sender index — what a delta-encoded wire frame
+    // would carry. delta_rows counts the senders graded
     // delta-applicable this step (folded serially into the engine
     // total, so the aggregate is thread-count invariant).
     std::vector<typename Protocol::Digest> delta_pool;
     std::vector<std::size_t> delta_offsets;
     std::vector<std::uint32_t> delta_counts;
     std::uint64_t delta_rows = 0;
-    // Receivers that took the node-level redelivery this step (folded
-    // serially, in shard order, into node_redeliveries_).
-    std::uint64_t node_redeliveries = 0;
     // Full stepping: for each destination shard, the owned nodes with at
     // least one neighbor there (ascending). Rebuilt after topology
     // changes; copied into the frame mailboxes every step.
@@ -340,9 +390,9 @@ class ShardedNetwork {
   }
 
   /// Maps `body(shard_index)` over all shards, inline or across the
-  /// pool (one chunk per shard: shard tasks are coarse by design).
-  /// Phases must write only shard-owned state and mailboxes keyed by
-  /// the acting shard.
+  /// pool (one chunk per shard: per-shard serial work). Phases must
+  /// write only shard-owned state and mailboxes keyed by the acting
+  /// shard.
   template <typename F>
   void for_shards(F&& body) {
     const std::size_t S = shard_count();
@@ -359,6 +409,42 @@ class ShardedNetwork {
         &body);
   }
 
+  /// Maps `body(s, begin, end)` over every shard's local index space
+  /// [0, count(s)) — owned nodes for the full stepper, the compact
+  /// sender or active lists for the dirty one. One range per shard when
+  /// there are at least as many shards as threads; otherwise the
+  /// concatenated index spaces are cut into pool-sized chunks, clipped
+  /// at shard bounds. For per-node phases: `body` must write only the
+  /// state of the items it is handed.
+  template <typename Count, typename F>
+  void for_shard_ranges(Count&& count, F&& body) {
+    const std::size_t S = shard_count();
+    if (!pool_ || S >= pool_->thread_count()) {
+      for_shards([&](std::size_t s) { body(s, std::size_t{0}, count(s)); });
+      return;
+    }
+    auto& starts = range_starts_;
+    starts.resize(S + 1);
+    starts[0] = 0;
+    for (std::size_t s = 0; s < S; ++s) starts[s + 1] = starts[s] + count(s);
+    auto chunk = [&starts, &body](std::size_t begin, std::size_t end) {
+      auto s = static_cast<std::size_t>(
+          std::upper_bound(starts.begin(), starts.end(), begin) -
+          starts.begin()) - 1;
+      for (; begin < end; ++s) {
+        const std::size_t stop = std::min(end, starts[s + 1]);
+        if (begin < stop) body(s, begin - starts[s], stop - starts[s]);
+        begin = stop;
+      }
+    };
+    pool_->parallel_for(
+        starts[S], 0,
+        [](void* ctx, std::size_t begin, std::size_t end) {
+          (*static_cast<decltype(chunk)*>(ctx))(begin, end);
+        },
+        &chunk);
+  }
+
   /// Copies row `slot` of `src`'s arena to the back of `mb`.
   static void append_frame(FrameMailbox& mb, const Shard& src,
                            std::size_t slot) {
@@ -369,6 +455,41 @@ class ShardedNetwork {
                    src.pool.begin() + src.offsets[slot] + len);
   }
 
+  /// Delivers row `slot` of `rows` — a shard arena or a frame mailbox,
+  /// which carry the same row layout, delta rows included — to receiver
+  /// `q` through the strongest fast path `grade` allows. Mailbox rows
+  /// are byte copies of the sender shard's arena and delta rows, so the
+  /// sender-side grade covers them too. Callers strip
+  /// kRowDeltaApplicable from the grade when the delta rows' base
+  /// generation doesn't name the rows every listener consumed.
+  template <typename Rows>
+  static void deliver_row(Protocol& protocol, graph::NodeId q,
+                          const Rows& rows, std::size_t slot,
+                          unsigned char grade) {
+    const auto digests = std::span(rows.pool.data() + rows.offsets[slot],
+                                   rows.offsets[slot + 1] - rows.offsets[slot]);
+    if constexpr (RedeliveryProtocol<Protocol>) {
+      if (grade != 0) {
+        if ((grade & kRowBitsEqual) &&
+            protocol.redeliver_unchanged(q, rows.headers[slot])) {
+          return;
+        }
+        if ((grade & kRowDeltaApplicable) &&
+            protocol.deliver_delta(
+                q, rows.headers[slot], digests.size(),
+                std::span(rows.delta_pool.data() + rows.delta_offsets[slot],
+                          rows.delta_offsets[slot + 1] -
+                              rows.delta_offsets[slot]))) {
+          return;
+        }
+        if (protocol.deliver_payload(q, rows.headers[slot], digests)) return;
+      }
+    }
+    protocol.deliver(q, rows.headers[slot], digests);
+  }
+
+  /// Delivers remote `sender`'s row from mailbox `mb` (binary search
+  /// over its sorted sender list).
   static void deliver_from(Protocol& protocol, graph::NodeId q,
                            const FrameMailbox& mb, graph::NodeId sender,
                            unsigned char grade = 0) {
@@ -377,39 +498,19 @@ class ShardedNetwork {
     // A miss here means the graph changed without set_graph /
     // apply_topology_delta — the boundary lists no longer cover it.
     assert(it != mb.senders.end() && *it == sender);
-    const auto k = static_cast<std::size_t>(it - mb.senders.begin());
-    const auto digests = std::span(mb.pool.data() + mb.offsets[k],
-                                   mb.offsets[k + 1] - mb.offsets[k]);
-    if constexpr (RedeliveryProtocol<Protocol>) {
-      // The mailbox rows are byte copies of the sender shard's arena and
-      // delta rows, so the sender-side grade covers them too. Callers
-      // strip kRowDeltaApplicable from the grade when the delta rows'
-      // base generation doesn't name the rows every listener consumed.
-      if (grade != 0) {
-        if ((grade & kRowBitsEqual) &&
-            protocol.redeliver_unchanged(q, mb.headers[k])) {
-          return;
-        }
-        if ((grade & kRowDeltaApplicable) &&
-            protocol.deliver_delta(
-                q, mb.headers[k], digests.size(),
-                std::span(mb.delta_pool.data() + mb.delta_offsets[k],
-                          mb.delta_offsets[k + 1] - mb.delta_offsets[k]))) {
-          return;
-        }
-        if (protocol.deliver_payload(q, mb.headers[k], digests)) return;
-      }
-    }
-    protocol.deliver(q, mb.headers[k], digests);
+    deliver_row(protocol, q, mb,
+                static_cast<std::size_t>(it - mb.senders.begin()), grade);
   }
 
   /// Recomputes the static boundary-sender lists (full stepping) after
   /// a topology or graph change. Parallel by shard; each shard scans
-  /// its own CSR rows, so admission order is ascending sender id.
+  /// its own CSR rows, so admission order is ascending sender id. One
+  /// shard has no boundary, so there is nothing to scan.
   void rebuild_boundaries() {
+    boundaries_stale_ = false;
+    if (shard_count() < 2) return;
     const graph::Graph& g = *graph_;
-    const std::size_t S = shard_count();
-    for_shards([this, &g, S](std::size_t s) {
+    for_shards([this, &g](std::size_t s) {
       Shard& sh = shards_[s];
       for (auto& list : sh.boundary_out) list.clear();
       for (std::size_t p = sh.begin; p < sh.end; ++p) {
@@ -423,9 +524,7 @@ class ShardedNetwork {
           }
         }
       }
-      (void)S;
     });
-    boundaries_stale_ = false;
   }
 
   void step_full() {
@@ -434,14 +533,18 @@ class ShardedNetwork {
     const std::size_t S = shard_count();
     auto* protocol = protocol_;
     if (boundaries_stale_) rebuild_boundaries();
+    const auto owned = [this](std::size_t s) {
+      return shards_[s].end - shards_[s].begin;
+    };
 
-    // Phase 1 (parallel by source shard): snapshot all owned frames
-    // into the shard arena, then flush every boundary frame into the
-    // (src, dst) mailboxes — fixed admission order because the
-    // boundary lists are ascending. Redelivery protocols double-buffer
-    // the arena: last step's rows move to prev_* before the build, then
-    // each fresh row is bit-compared against its predecessor so phase 3
-    // can skip the full delivery of provably unchanged frames.
+    // Phase 1 (by source shard, per-node work by range): snapshot all
+    // owned frames into the shard arena, then flush every boundary
+    // frame into the (src, dst) mailboxes — fixed admission order
+    // because the boundary lists are ascending. Redelivery protocols
+    // double-buffer the arena: last step's rows move to prev_* before
+    // the build, then each fresh row is bit-compared against its
+    // predecessor so phase 3 can skip the full delivery of provably
+    // unchanged frames.
     if constexpr (RedeliveryProtocol<Protocol>) {
       row_unchanged_.resize(n);
       // One arena build per step, stamped serially. The delta rows this
@@ -453,13 +556,17 @@ class ShardedNetwork {
       delta_base_generation_ =
           prev_rows_built_ ? generation_ - 1 : kNoGeneration;
     }
-    for_shards([this, protocol, S](std::size_t s) {
+    // 1a (per shard, serial): swap the double buffer, size the arena.
+    // Row i of the pool is [offsets[i], offsets[i+1]), mirroring the
+    // CSR layout of the graph.
+    for_shards([this, protocol](std::size_t s) {
       Shard& sh = shards_[s];
       const std::size_t local_n = sh.end - sh.begin;
       if constexpr (RedeliveryProtocol<Protocol>) {
         std::swap(sh.headers, sh.prev_headers);
         std::swap(sh.pool, sh.prev_pool);
         std::swap(sh.offsets, sh.prev_offsets);
+        sh.delta_counts.assign(local_n, 0);
       }
       sh.offsets.resize(local_n + 1);
       sh.offsets[0] = 0;
@@ -470,118 +577,85 @@ class ShardedNetwork {
       }
       sh.pool.resize(sh.offsets[local_n]);
       sh.headers.resize(local_n);
-      for (std::size_t i = 0; i < local_n; ++i) {
+    });
+    // 1b (by range): build, then grade each row against last step's.
+    // One streaming pass over two sequential buffers here saves a
+    // gathered per-edge compare in phase 3 — each row is compared once
+    // instead of once per listener. Grades: kRowIdsEqual (the id
+    // sequence held; payloads may churn — the common active regime),
+    // additionally kRowBitsEqual (the whole row, header included, is
+    // bit-identical — the quiescent regime), or additionally
+    // kRowDeltaApplicable (ids held and at most half the digests moved
+    // — the late-recovery regime, worth delta-encoding). Each range
+    // writes only its own slice of the global grade bitmap.
+    for_shard_ranges(owned, [this, protocol](std::size_t s, std::size_t lo,
+                                             std::size_t hi) {
+      Shard& sh = shards_[s];
+      for (std::size_t i = lo; i < hi; ++i) {
         protocol->make_frame(
             static_cast<graph::NodeId>(sh.begin + i), sh.headers[i],
             std::span(sh.pool.data() + sh.offsets[i],
                       sh.offsets[i + 1] - sh.offsets[i]));
       }
       if constexpr (RedeliveryProtocol<Protocol>) {
-        // Each shard writes only its owned slice of the global bitmap.
-        // Same grades as sim::Network's phase 1b: id sequence held
-        // (payload overwrite suffices), whole row bit-equal (age reset
-        // suffices), or ids held with at most half the digests moved
-        // (delta patch suffices — the changed digests are extracted
-        // into the shard's delta arena below).
-        const bool cmp =
-            prev_rows_built_ && sh.prev_offsets.size() == local_n + 1;
-        sh.delta_counts.assign(local_n, 0);
-        sh.delta_rows = 0;
-        for (std::size_t i = 0; i < local_n; ++i) {
-          unsigned char grade = 0;
-          const std::size_t len = sh.offsets[i + 1] - sh.offsets[i];
-          if (cmp && sh.prev_offsets[i + 1] - sh.prev_offsets[i] == len) {
-            const auto* a = sh.pool.data() + sh.offsets[i];
-            const auto* b = sh.prev_pool.data() + sh.prev_offsets[i];
-            const bool header_bits = Protocol::header_bits_equal(
-                sh.headers[i], sh.prev_headers[i]);
-            // Same early-exit as the flat engine: past the delta
-            // threshold only the id compares still matter, so the
-            // wider payload compares stop — heavy-churn rows cost
-            // about what the old first-mismatch exit did.
-            const std::size_t cap = len * kRowDeltaNumerator /
-                                    kRowDeltaDenominator;
-            bool ids = true;
-            std::size_t changed = 0;
-            std::size_t k = 0;
-            for (; k < len && ids; ++k) {
-              ids = Protocol::digest_id_equal(a[k], b[k]);
-              changed += !Protocol::digest_bits_equal(a[k], b[k]);
-              if (changed > cap) break;
-            }
-            for (; k < len && ids; ++k) {
-              ids = Protocol::digest_id_equal(a[k], b[k]);
-            }
-            if (ids) {
-              grade = kRowIdsEqual;
-              if (header_bits && changed == 0) {
-                grade |= kRowBitsEqual;
-              } else if (changed * kRowDeltaDenominator <=
-                         len * kRowDeltaNumerator) {
-                grade |= kRowDeltaApplicable;
-                sh.delta_counts[i] = static_cast<std::uint32_t>(changed);
-                ++sh.delta_rows;
-              }
-            }
-          }
-          row_unchanged_[sh.begin + i] = grade;
-        }
-        // Shard-local delta arena: prefix-sum the per-sender changed
-        // counts (each shard sums only its own slice, so the build is
-        // parallel by shard), then extract the changed digests.
-        sh.delta_offsets.resize(local_n + 1);
-        sh.delta_offsets[0] = 0;
-        for (std::size_t i = 0; i < local_n; ++i) {
-          sh.delta_offsets[i + 1] = sh.delta_offsets[i] + sh.delta_counts[i];
-        }
-        // changed <= len/2 per applicable row, so half the shard's
-        // digest count bounds the pool; reserving it pins the
-        // high-water mark at the first delta build.
-        sh.delta_pool.reserve(sh.offsets[local_n] / 2);
-        sh.delta_pool.resize(sh.delta_offsets[local_n]);
-        for (std::size_t i = 0; i < local_n; ++i) {
-          if (sh.delta_counts[i] == 0) continue;
-          const auto* a = sh.pool.data() + sh.offsets[i];
-          const auto* b = sh.prev_pool.data() + sh.prev_offsets[i];
-          const std::size_t len = sh.offsets[i + 1] - sh.offsets[i];
-          auto* out = sh.delta_pool.data() + sh.delta_offsets[i];
-          for (std::size_t k = 0; k < len; ++k) {
-            if (!Protocol::digest_bits_equal(a[k], b[k])) *out++ = a[k];
-          }
-        }
-      }
-      for (std::size_t t = 0; t < S; ++t) {
-        if (t == s) continue;
-        FrameMailbox& mb = frame_mb_[s * S + t];
-        mb.senders.assign(sh.boundary_out[t].begin(),
-                          sh.boundary_out[t].end());
-        mb.headers.clear();
-        mb.pool.clear();
-        mb.offsets.assign(1, 0);
-        if constexpr (RedeliveryProtocol<Protocol>) {
-          mb.delta_pool.clear();
-          mb.delta_offsets.assign(1, 0);
-        }
-        for (const graph::NodeId p : mb.senders) {
-          const std::size_t slot = static_cast<std::size_t>(p) - sh.begin;
-          append_frame(mb, sh, slot);
-          if constexpr (RedeliveryProtocol<Protocol>) {
-            if (row_unchanged_[p] & kRowDeltaApplicable) {
-              mb.delta_pool.insert(
-                  mb.delta_pool.end(),
-                  sh.delta_pool.begin() + sh.delta_offsets[slot],
-                  sh.delta_pool.begin() + sh.delta_offsets[slot + 1]);
-            }
-            mb.delta_offsets.push_back(mb.delta_pool.size());
-          }
+        const bool cmp = prev_rows_built_ &&
+                         sh.prev_offsets.size() == sh.offsets.size();
+        for (std::size_t i = lo; i < hi; ++i) {
+          row_unchanged_[sh.begin + i] = cmp ? grade_row(sh, i) : 0;
         }
       }
     });
+    if constexpr (RedeliveryProtocol<Protocol>) {
+      // 1c (per shard, serial): CSR offsets for the delta rows. changed
+      // <= len/2 per applicable row, so half the shard's digest count
+      // bounds the pool; reserving it pins the high-water mark at the
+      // first delta build instead of letting the pool grow step by step
+      // through a recovery window that must stay allocation-free.
+      for_shards([this](std::size_t s) {
+        Shard& sh = shards_[s];
+        const std::size_t local_n = sh.end - sh.begin;
+        sh.delta_offsets.resize(local_n + 1);
+        sh.delta_offsets[0] = 0;
+        sh.delta_rows = 0;
+        for (std::size_t i = 0; i < local_n; ++i) {
+          sh.delta_offsets[i + 1] = sh.delta_offsets[i] + sh.delta_counts[i];
+          sh.delta_rows +=
+              (row_unchanged_[sh.begin + i] & kRowDeltaApplicable) != 0;
+        }
+        sh.delta_pool.reserve(sh.offsets[local_n] / 2);
+        sh.delta_pool.resize(sh.delta_offsets[local_n]);
+      });
+      // 1d (by range): extract the changed digests — a second compare
+      // pass, but only over delta-graded rows, and shared by every
+      // listener of each sender.
+      bool any_delta = false;
+      for (const Shard& sh : shards_) any_delta |= !sh.delta_pool.empty();
+      if (any_delta) {
+        for_shard_ranges(owned, [this](std::size_t s, std::size_t lo,
+                                       std::size_t hi) {
+          Shard& sh = shards_[s];
+          for (std::size_t i = lo; i < hi; ++i) {
+            if (sh.delta_counts[i] == 0) continue;
+            const auto* a = sh.pool.data() + sh.offsets[i];
+            const auto* b = sh.prev_pool.data() + sh.prev_offsets[i];
+            const std::size_t len = sh.offsets[i + 1] - sh.offsets[i];
+            auto* out = sh.delta_pool.data() + sh.delta_offsets[i];
+            for (std::size_t k = 0; k < len; ++k) {
+              if (!Protocol::digest_bits_equal(a[k], b[k])) *out++ = a[k];
+            }
+          }
+        });
+      }
+    }
+    // 1e (per shard, serial): the mailbox flush.
+    if (S > 1) {
+      for_shards([this, S](std::size_t s) { flush_boundary_frames(s, S); });
+    }
 
-    // Phase 2 (serial unless τ = 1): identical to Network::step_arena —
-    // per-edge loss decisions polled sender-major so stateful loss
-    // models draw the exact same RNG sequence, stored at the
-    // receiver's incoming CSR slot via the mirror index.
+    // Phase 2 (serial unless τ = 1): per-edge delivery decisions, polled
+    // sender-major so stateful loss models draw the exact same RNG
+    // sequence at any shard/thread count, stored at the receiver's
+    // incoming CSR slot via the mirror index.
     const auto offsets = g.csr_offsets();
     const auto flat = g.csr_neighbors();
     const bool hear_all = loss_->always_delivers();
@@ -599,13 +673,19 @@ class ShardedNetwork {
       messages_delivered_ += flat.size();
     }
 
-    // Phase 3 (parallel by destination shard): each owned receiver
-    // pulls its heard frames in ascending-sender order — local senders
-    // from the shard arena, remote senders from the (src, dst) mailbox.
-    // With valid row hints (previous step built rows AND was loss-free,
-    // so every listener consumed exactly those rows), an unchanged
-    // sender's delivery collapses to the protocol's redelivery
-    // bookkeeping — the receiver's cache entry already holds the bytes.
+    // Phase 3 (by range of receivers): each receiver pulls its heard
+    // frames in ascending-sender order — local senders from the shard
+    // arena, remote senders from the (src, dst) mailbox. With valid row
+    // hints (previous step built rows AND was loss-free, so every
+    // listener consumed exactly those rows), an unchanged sender's
+    // delivery collapses to the protocol's fast paths, attempted
+    // strongest first: bit-equal rows to an age reset, delta-applicable
+    // rows to an in-place patch of the changed digests, rows with a
+    // held id sequence to a straight payload overwrite. Every skip is
+    // bit-identical by induction on the rows a receiver has consumed;
+    // the protocol declines them all for receivers whose cache was
+    // externally mutated since the last sweep, falling through to the
+    // next-fuller path.
     const bool hints = row_hints_valid_ && hear_all;
     // Delta patches additionally require the delta rows' base-generation
     // tag to name the arena build every listener consumed; when it
@@ -619,90 +699,135 @@ class ShardedNetwork {
                         : static_cast<unsigned char>(~kRowDeltaApplicable);
     }
     // A receiver whose every heard row is bit-equal is first offered
-    // whole, as in sim::Network (NodeRedeliveryProtocol).
-    for_shards([this, protocol, offsets, flat, hear_all, hints, gmask,
-                S](std::size_t t) {
+    // whole (NodeRedeliveryProtocol): when the protocol accepts, its
+    // per-edge age resets and its end_step are skipped together.
+    std::atomic<std::uint64_t> node_redeliveries{0};
+    for_shard_ranges(owned, [&, protocol, offsets, flat, hear_all, hints,
+                             gmask, S](std::size_t t, std::size_t lo,
+                                       std::size_t hi) {
       Shard& sh = shards_[t];
-      sh.node_redeliveries = 0;
-      for (std::size_t q = sh.begin; q < sh.end; ++q) {
+      std::uint64_t taken = 0;
+      for (std::size_t q = sh.begin + lo; q < sh.begin + hi; ++q) {
         if (hints && offer_node_redelivery(
                          *protocol, static_cast<graph::NodeId>(q),
                          flat.subspan(offsets[q], offsets[q + 1] - offsets[q]),
                          row_unchanged_.data())) {
-          ++sh.node_redeliveries;
+          ++taken;
           continue;
         }
         for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e) {
           if (!hear_all && !incoming_[e]) continue;
           const graph::NodeId p = flat[e];
+          const unsigned char grade =
+              hints ? static_cast<unsigned char>(row_unchanged_[p] & gmask)
+                    : static_cast<unsigned char>(0);
           if (p >= sh.begin && p < sh.end) {
-            const std::size_t slot = static_cast<std::size_t>(p) - sh.begin;
-            const auto digests =
-                std::span(sh.pool.data() + sh.offsets[slot],
-                          sh.offsets[slot + 1] - sh.offsets[slot]);
-            if constexpr (RedeliveryProtocol<Protocol>) {
-              const unsigned char grade =
-                  hints ? static_cast<unsigned char>(row_unchanged_[p] & gmask)
-                        : static_cast<unsigned char>(0);
-              if (grade) {
-                if ((grade & kRowBitsEqual) &&
-                    protocol->redeliver_unchanged(
-                        static_cast<graph::NodeId>(q), sh.headers[slot])) {
-                  continue;
-                }
-                if ((grade & kRowDeltaApplicable) &&
-                    protocol->deliver_delta(
-                        static_cast<graph::NodeId>(q), sh.headers[slot],
-                        digests.size(),
-                        std::span(
-                            sh.delta_pool.data() + sh.delta_offsets[slot],
-                            sh.delta_offsets[slot + 1] -
-                                sh.delta_offsets[slot]))) {
-                  continue;
-                }
-                if (protocol->deliver_payload(static_cast<graph::NodeId>(q),
-                                              sh.headers[slot], digests)) {
-                  continue;
-                }
-              }
-            }
-            protocol->deliver(static_cast<graph::NodeId>(q), sh.headers[slot],
-                              digests);
+            deliver_row(*protocol, static_cast<graph::NodeId>(q), sh,
+                        static_cast<std::size_t>(p) - sh.begin, grade);
           } else {
             deliver_from(*protocol, static_cast<graph::NodeId>(q),
-                         frame_mb_[shard_of(p) * S + t], p,
-                         hints ? static_cast<unsigned char>(
-                                     row_unchanged_[p] & gmask)
-                               : static_cast<unsigned char>(0));
+                         frame_mb_[shard_of(p) * S + t], p, grade);
           }
         }
       }
+      node_redeliveries.fetch_add(taken, std::memory_order_relaxed);
     });
+    node_redeliveries_ += node_redeliveries.load(std::memory_order_relaxed);
 
-    // Phases 4 + 5 (parallel by shard): guarded rules, then cache aging.
-    for_shards([this, protocol](std::size_t s) {
-      for (std::size_t p = shards_[s].begin; p < shards_[s].end; ++p) {
-        protocol->tick(static_cast<graph::NodeId>(p));
+    // Phases 4 + 5 (by range): guarded rules, then cache aging.
+    for_shard_ranges(owned, [this, protocol](std::size_t s, std::size_t lo,
+                                             std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        protocol->tick(static_cast<graph::NodeId>(shards_[s].begin + i));
       }
     });
-    for_shards([this, protocol](std::size_t s) {
-      for (std::size_t p = shards_[s].begin; p < shards_[s].end; ++p) {
-        protocol->end_step(static_cast<graph::NodeId>(p));
+    for_shard_ranges(owned, [this, protocol](std::size_t s, std::size_t lo,
+                                             std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        protocol->end_step(static_cast<graph::NodeId>(shards_[s].begin + i));
       }
     });
 
     if constexpr (RedeliveryProtocol<Protocol>) {
       // Serial fold of the per-shard delta tallies (shard order), so the
       // aggregate is identical for any thread count.
-      for (const Shard& sh : shards_) {
-        delta_rows_graded_ += sh.delta_rows;
-        node_redeliveries_ += sh.node_redeliveries;
-      }
+      for (const Shard& sh : shards_) delta_rows_graded_ += sh.delta_rows;
       prev_rows_built_ = true;
       // Hints are trustworthy next step only if *this* step delivered
       // every row to every listener (loss would leave some caches
       // behind the rows the compare runs against).
       row_hints_valid_ = hear_all;
+    }
+  }
+
+  /// Grades owned row `i` of `sh` against the same row of last step's
+  /// arena (redelivery protocols): 0, or kRowIdsEqual plus at most one
+  /// of kRowBitsEqual / kRowDeltaApplicable (scheduler.hpp). A
+  /// delta-applicable row's changed-digest count lands in
+  /// `sh.delta_counts[i]`.
+  static unsigned char grade_row(Shard& sh, std::size_t i) {
+    const std::size_t len = sh.offsets[i + 1] - sh.offsets[i];
+    if (sh.prev_offsets[i + 1] - sh.prev_offsets[i] != len) return 0;
+    const auto* a = sh.pool.data() + sh.offsets[i];
+    const auto* b = sh.prev_pool.data() + sh.prev_offsets[i];
+    // Once `changed` blows the delta threshold the row can only grade
+    // kRowIdsEqual, so the (wider) payload compares stop; the id
+    // compares must still cover the whole row — the ids-equal gate is
+    // what makes redelivery sound. Heavy-churn rows (the active
+    // regime) cost about what a first-mismatch exit would.
+    const std::size_t cap = len * kRowDeltaNumerator / kRowDeltaDenominator;
+    std::size_t changed = 0;
+    std::size_t k = 0;
+    for (; k < len; ++k) {
+      if (!Protocol::digest_id_equal(a[k], b[k])) return 0;
+      changed += !Protocol::digest_bits_equal(a[k], b[k]);
+      if (changed > cap) {
+        ++k;
+        break;
+      }
+    }
+    for (; k < len; ++k) {
+      if (!Protocol::digest_id_equal(a[k], b[k])) return 0;
+    }
+    unsigned char grade = kRowIdsEqual;
+    if (changed == 0 &&
+        Protocol::header_bits_equal(sh.headers[i], sh.prev_headers[i])) {
+      grade |= kRowBitsEqual;
+    } else if (changed * kRowDeltaDenominator <= len * kRowDeltaNumerator) {
+      grade |= kRowDeltaApplicable;
+      sh.delta_counts[i] = static_cast<std::uint32_t>(changed);
+    }
+    return grade;
+  }
+
+  /// Copies source shard `s`'s boundary rows (full and delta) into the
+  /// (s, t) frame mailbox of every other shard t.
+  void flush_boundary_frames(std::size_t s, std::size_t S) {
+    const Shard& sh = shards_[s];
+    for (std::size_t t = 0; t < S; ++t) {
+      if (t == s) continue;
+      FrameMailbox& mb = frame_mb_[s * S + t];
+      mb.senders.assign(sh.boundary_out[t].begin(), sh.boundary_out[t].end());
+      mb.headers.clear();
+      mb.pool.clear();
+      mb.offsets.assign(1, 0);
+      if constexpr (RedeliveryProtocol<Protocol>) {
+        mb.delta_pool.clear();
+        mb.delta_offsets.assign(1, 0);
+      }
+      for (const graph::NodeId p : mb.senders) {
+        const std::size_t slot = static_cast<std::size_t>(p) - sh.begin;
+        append_frame(mb, sh, slot);
+        if constexpr (RedeliveryProtocol<Protocol>) {
+          if (row_unchanged_[p] & kRowDeltaApplicable) {
+            mb.delta_pool.insert(
+                mb.delta_pool.end(),
+                sh.delta_pool.begin() + sh.delta_offsets[slot],
+                sh.delta_pool.begin() + sh.delta_offsets[slot + 1]);
+          }
+          mb.delta_offsets.push_back(mb.delta_pool.size());
+        }
+      }
     }
   }
 
@@ -728,13 +853,16 @@ class ShardedNetwork {
     sh.tracker.wake(static_cast<graph::NodeId>(p - sh.begin));
   }
 
-  /// The quiescence-aware sharded step. Same induction as the
-  /// unsharded stepper (docs/ARCHITECTURE.md §7): the union of the
-  /// per-shard active sets equals the global stepper's active set every
-  /// step, because intra-shard wakes land directly and cross-shard
-  /// wakes ride the wake mailboxes flushed at this step's end and
-  /// drained before the next begin_step — the same one-step latency the
-  /// double-buffered wake set already has.
+  /// The quiescence-aware step: only active nodes (those whose closed
+  /// neighborhood changed last step) receive, tick and age; everyone
+  /// else is left untouched — bit-identical to full stepping because a
+  /// skipped node is at a boundary-state fixpoint with unchanged inputs
+  /// (docs/ARCHITECTURE.md §7 for the induction). The union of the
+  /// per-shard active sets is the global active set every step:
+  /// intra-shard wakes land directly, and cross-shard wakes ride the
+  /// wake mailboxes flushed at this step's end and drained before the
+  /// next begin_step — the one-step latency the double-buffered wake
+  /// set already has.
   void step_dirty() {
     // Dirty mode reuses the shard arenas in compact (sender-list) form,
     // clobbering the per-node rows the redelivery compare needs.
@@ -810,9 +938,9 @@ class ShardedNetwork {
       }
     });
 
-    // Phase 2 (parallel by source shard): merge remote requests into
-    // the local sender set, build every needed frame once, then answer
-    // each request list through the frame mailboxes.
+    // Phase 2 (by source shard, frame builds by range): merge remote
+    // requests into the local sender set, build every needed frame
+    // once, then answer each request list through the frame mailboxes.
     for_shards([this, protocol, S](std::size_t s) {
       Shard& sh = shards_[s];
       for (std::size_t t = 0; t < S; ++t) {
@@ -829,48 +957,64 @@ class ShardedNetwork {
       sh.offsets.resize(senders + 1);
       sh.offsets[0] = 0;
       for (std::size_t i = 0; i < senders; ++i) {
+        sh.sender_slot[static_cast<std::size_t>(sh.sender_list[i]) -
+                       sh.begin] = i;
         sh.offsets[i + 1] =
             sh.offsets[i] + protocol->digest_count(sh.sender_list[i]);
       }
       sh.pool.resize(sh.offsets[senders]);
       sh.headers.resize(senders);
-      for (std::size_t i = 0; i < senders; ++i) {
-        sh.sender_slot[static_cast<std::size_t>(sh.sender_list[i]) -
-                       sh.begin] = i;
-        protocol->make_frame(
-            sh.sender_list[i], sh.headers[i],
-            std::span(sh.pool.data() + sh.offsets[i],
-                      sh.offsets[i + 1] - sh.offsets[i]));
-      }
-      for (std::size_t t = 0; t < S; ++t) {
-        if (t == s) continue;
-        const auto& req = req_mb_[t * S + s];
-        FrameMailbox& mb = frame_mb_[s * S + t];
-        mb.senders.assign(req.begin(), req.end());
-        mb.headers.clear();
-        mb.pool.clear();
-        mb.offsets.assign(1, 0);
-        for (const graph::NodeId p : req) {
-          append_frame(mb, sh,
-                       sh.sender_slot[static_cast<std::size_t>(p) - sh.begin]);
-        }
-      }
     });
+    for_shard_ranges(
+        [this](std::size_t s) { return shards_[s].sender_list.size(); },
+        [this, protocol](std::size_t s, std::size_t lo, std::size_t hi) {
+          Shard& sh = shards_[s];
+          for (std::size_t i = lo; i < hi; ++i) {
+            protocol->make_frame(
+                sh.sender_list[i], sh.headers[i],
+                std::span(sh.pool.data() + sh.offsets[i],
+                          sh.offsets[i + 1] - sh.offsets[i]));
+          }
+        });
+    if (S > 1) {
+      for_shards([this, S](std::size_t s) {
+        const Shard& sh = shards_[s];
+        for (std::size_t t = 0; t < S; ++t) {
+          if (t == s) continue;
+          const auto& req = req_mb_[t * S + s];
+          FrameMailbox& mb = frame_mb_[s * S + t];
+          mb.senders.assign(req.begin(), req.end());
+          mb.headers.clear();
+          mb.pool.clear();
+          mb.offsets.assign(1, 0);
+          for (const graph::NodeId p : req) {
+            append_frame(
+                mb, sh,
+                sh.sender_slot[static_cast<std::size_t>(p) - sh.begin]);
+          }
+        }
+      });
+    }
 
-    // Phase 3 (parallel by destination shard): every active node pulls
+    // Phase 3 (by range of active receivers): every active node pulls
     // every neighbor's frame, ascending-sender order as always.
-    for_shards([this, protocol, &g, S](std::size_t t) {
-      Shard& sh = shards_[t];
-      for (const graph::NodeId lq : sh.tracker.active()) {
+    // Quiescent senders' frames were built on demand above (make_frame
+    // is const), so cache ages and contents evolve exactly as under the
+    // full stepper.
+    const auto active = [this](std::size_t s) {
+      return shards_[s].tracker.active().size();
+    };
+    for_shard_ranges(active, [this, protocol, &g, S](std::size_t t,
+                                                     std::size_t lo,
+                                                     std::size_t hi) {
+      const Shard& sh = shards_[t];
+      for (const graph::NodeId lq : sh.tracker.active().subspan(lo, hi - lo)) {
         const auto q = static_cast<graph::NodeId>(sh.begin + lq);
         for (const graph::NodeId r : g.neighbors(q)) {
           if (r >= sh.begin && r < sh.end) {
-            const std::size_t slot =
-                sh.sender_slot[static_cast<std::size_t>(r) - sh.begin];
-            protocol->deliver(
-                q, sh.headers[slot],
-                std::span(sh.pool.data() + sh.offsets[slot],
-                          sh.offsets[slot + 1] - sh.offsets[slot]));
+            deliver_row(*protocol, q, sh,
+                        sh.sender_slot[static_cast<std::size_t>(r) - sh.begin],
+                        0);
           } else {
             deliver_from(*protocol, q, frame_mb_[shard_of(r) * S + t], r);
           }
@@ -878,17 +1022,19 @@ class ShardedNetwork {
       }
     });
 
-    // Phases 4 + 5 (parallel by shard): guarded rules, cache aging —
-    // active nodes only.
-    for_shards([this, protocol](std::size_t t) {
-      Shard& sh = shards_[t];
-      for (const graph::NodeId lq : sh.tracker.active()) {
+    // Phases 4 + 5 (by range): guarded rules, cache aging — active
+    // nodes only.
+    for_shard_ranges(active, [this, protocol](std::size_t t, std::size_t lo,
+                                              std::size_t hi) {
+      const Shard& sh = shards_[t];
+      for (const graph::NodeId lq : sh.tracker.active().subspan(lo, hi - lo)) {
         protocol->tick(static_cast<graph::NodeId>(sh.begin + lq));
       }
     });
-    for_shards([this, protocol](std::size_t t) {
-      Shard& sh = shards_[t];
-      for (const graph::NodeId lq : sh.tracker.active()) {
+    for_shard_ranges(active, [this, protocol](std::size_t t, std::size_t lo,
+                                              std::size_t hi) {
+      const Shard& sh = shards_[t];
+      for (const graph::NodeId lq : sh.tracker.active().subspan(lo, hi - lo)) {
         protocol->end_step(static_cast<graph::NodeId>(sh.begin + lq));
       }
     });
@@ -956,6 +1102,7 @@ class ShardedNetwork {
   std::vector<FrameMailbox> frame_mb_;
   std::vector<std::vector<graph::NodeId>> req_mb_;
   std::vector<std::vector<graph::NodeId>> wake_mb_;  // cross-shard wakes
+  std::vector<std::size_t> range_starts_;  // for_shard_ranges scratch
 };
 
 }  // namespace ssmwn::sim

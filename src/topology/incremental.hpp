@@ -119,8 +119,8 @@ class IncrementalUdg {
 
 /// The composed live topology the engines observe: geometry (mobility)
 /// plus an optional alive mask (churn). `graph()` is stable in memory
-/// across updates, so `sim::Network` / `sim::AsyncNetwork` can hold the
-/// reference for the whole run.
+/// across updates, so `sim::ShardedNetwork` / `sim::AsyncNetwork` can hold
+/// the reference for the whole run.
 class LiveTopology {
  public:
   /// `alive` enables masked mode (it must then always be passed to

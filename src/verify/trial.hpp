@@ -8,11 +8,11 @@
 // order. Two executions of the same spec produce bit-identical
 // `TrialResult`s, on any machine.
 //
-// The differential part: the synchronous stepper (sim::Network) and the
-// event-driven engine (sim::AsyncNetwork, under the spec's daemon) both
-// start from the same corruption stream (same constructor rng, same
-// chaos draws; the async half may size its cache timeout for the
-// daemon's unfairness, which only shifts the planted entry ages) and
+// The differential part: the synchronous stepper (sim::ShardedNetwork)
+// and the event-driven engine (sim::AsyncNetwork, under the spec's
+// daemon) both start from the same corruption stream (same constructor
+// rng, same chaos draws; the async half may size its cache timeout for
+// the daemon's unfairness, which only shifts the planted entry ages) and
 // must independently reach a legitimate configuration — and, for
 // variants whose head identity is a pure function of the topology, the
 // *same* one (the synchronous oracle's).

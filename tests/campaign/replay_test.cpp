@@ -366,8 +366,8 @@ TEST(CampaignReplay, NonDirtyPlansKeepTheirSchemas) {
 
 TEST(CampaignReplay, ShardCountDoesNotChangeTheBytes) {
   // `--shards` is an execution knob like `--threads`, never a spec axis:
-  // it must not enter canonical strings or run seeds, and the sharded
-  // engine is bit-identical to sim::Network, so every campaign output is
+  // it must not enter canonical strings or run seeds, and the engine is
+  // bit-identical at any shard count, so every campaign output is
   // byte-identical at any shard count. Sweep the live plans — the only
   // paths that step a synchronous engine — plus the dirty-stepping plan
   // to cover the sharded quiescence path, at shard counts that exercise

@@ -15,7 +15,6 @@
 #include "graph/partition.hpp"
 #include "mobility/mobility.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
@@ -54,8 +53,8 @@ TEST(DensityIncremental, LockstepBitwiseEqualToRecomputeUnderFaults) {
   auto recompute =
       make_protocol(g, ids, core::DensityMaintenance::kRecompute, 9);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_a(g, incremental, loss_a, 1);
-  sim::Network net_b(g, recompute, loss_b, 1);
+  sim::ShardedNetwork net_a(g, incremental, loss_a, 1, 1);
+  sim::ShardedNetwork net_b(g, recompute, loss_b, 1, 1);
 
   util::Rng chaos_a(4242), chaos_b(4242);
   for (std::size_t step = 0; step < 40; ++step) {
@@ -96,7 +95,7 @@ TEST(DensityIncremental, CheckedModeRunsCleanOnFlatEngine) {
   EXPECT_EQ(protocol.density_maintenance(),
             core::DensityMaintenance::kChecked);
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss, 1);
+  sim::ShardedNetwork network(g, protocol, loss, 1, 1);
   util::Rng chaos(17);
   EXPECT_NO_THROW({
     protocol.corrupt_all(chaos);
@@ -137,7 +136,7 @@ TEST(DensityIncremental, CheckedModeRunsCleanUnderLoss) {
 
   auto protocol = make_protocol(g, ids, core::DensityMaintenance::kChecked, 7);
   sim::BernoulliDelivery loss(0.7, util::Rng(99));
-  sim::Network network(g, protocol, loss, 1);
+  sim::ShardedNetwork network(g, protocol, loss, 1, 1);
   EXPECT_NO_THROW(network.run(60));
 }
 
@@ -155,7 +154,7 @@ TEST(DensityIncremental, MaintainedCountMatchesEdgesAmongAtConvergence) {
   auto protocol =
       make_protocol(g, ids, core::DensityMaintenance::kIncremental, 11);
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss, 1);
+  sim::ShardedNetwork network(g, protocol, loss, 1, 1);
   network.run(30);  // diameter-many steps: caches and digests settled
 
   std::size_t checked = 0;
@@ -188,7 +187,7 @@ TEST(DensityIncremental, TopologyDeltaWindowsKeepCountsExact) {
   auto protocol = make_protocol(topo.graph(), ids,
                                 core::DensityMaintenance::kChecked, 19);
   sim::PerfectDelivery loss;
-  sim::Network network(topo.graph(), protocol, loss, 1);
+  sim::ShardedNetwork network(topo.graph(), protocol, loss, 1, 1);
   network.run(25);
 
   std::size_t flips = 0;
@@ -225,7 +224,7 @@ TEST(DensityIncremental, ExternalMutationInvalidatesThenRecovers) {
   auto protocol =
       make_protocol(g, ids, core::DensityMaintenance::kIncremental, 23);
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss, 1);
+  sim::ShardedNetwork network(g, protocol, loss, 1, 1);
   network.run(10);
 
   graph::NodeId victim = 0;

@@ -4,7 +4,7 @@
 
 #include "core/protocol.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "topology/ids.hpp"
 #include "util/rng.hpp"
 
@@ -72,7 +72,7 @@ TEST(ProtocolFrames, CacheEntriesAgeOutAfterMaxAge) {
   g.finalize();
   core::DensityProtocol protocol({1, 2}, tiny_config(), util::Rng(4));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   network.step();
   ASSERT_EQ(protocol.state(0).cache.size(), 1u);
 
@@ -93,7 +93,7 @@ TEST(ProtocolFrames, FreshDeliveryResetsAge) {
   g.finalize();
   core::DensityProtocol protocol({1, 2}, tiny_config(), util::Rng(5));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   // Run many steps with delivery every step: nothing may ever age out.
   network.run(20);
   EXPECT_EQ(protocol.state(0).cache.size(), 1u);
@@ -110,7 +110,7 @@ TEST(ProtocolFrames, DensityFromRelayedDigests) {
   g.finalize();
   core::DensityProtocol protocol({1, 2, 3}, tiny_config(), util::Rng(6));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   network.run(2);
   for (graph::NodeId p = 0; p < 3; ++p) {
     EXPECT_DOUBLE_EQ(protocol.state(p).metric, 1.5) << "node " << p;
@@ -125,7 +125,7 @@ TEST(ProtocolFrames, PhantomCacheEntriesEvictEvenWithoutTraffic) {
   util::Rng chaos(8);
   protocol.corrupt_all(chaos);
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   network.run(tiny_config().cache_max_age + 2);
   EXPECT_TRUE(protocol.state(0).cache.empty());
   // And the lone node has elected itself.

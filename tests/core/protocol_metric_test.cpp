@@ -7,7 +7,7 @@
 #include "cluster/baselines.hpp"
 #include "core/protocol.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -29,7 +29,7 @@ TEST(ProtocolMetric, DegreeVariantConvergesToDegreeOracle) {
     config.delta_hint = g.max_degree();
     core::DensityProtocol protocol(ids, config, rng.split());
     sim::PerfectDelivery loss;
-    sim::Network network(g, protocol, loss);
+    sim::ShardedNetwork network(g, protocol, loss, 1);
     network.run(80);
 
     for (graph::NodeId p = 0; p < g.node_count(); ++p) {
@@ -54,7 +54,7 @@ TEST(ProtocolMetric, DegreeVariantSelfStabilizes) {
   config.delta_hint = g.max_degree();
   core::DensityProtocol protocol(ids, config, rng.split());
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   network.run(60);
 
   util::Rng chaos(3);
@@ -90,8 +90,8 @@ TEST(ProtocolMetric, MetricsDisagreeWhereExpected) {
   core::DensityProtocol density_protocol(ids, density_config, util::Rng(5));
 
   sim::PerfectDelivery loss;
-  sim::Network dg(g, degree_protocol, loss);
-  sim::Network dn(g, density_protocol, loss);
+  sim::ShardedNetwork dg(g, degree_protocol, loss, 1);
+  sim::ShardedNetwork dn(g, density_protocol, loss, 1);
   dg.run(40);
   dn.run(40);
 

@@ -8,7 +8,7 @@
 
 #include "core/clustering.hpp"
 #include "graph/forest.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "stabilize/convergence.hpp"
 #include "support/paper_example.hpp"
 #include "topology/generators.hpp"
@@ -48,7 +48,7 @@ TEST(Protocol, Table2KnowledgeSchedule) {
   const auto ids = paper_example_ids();
   core::DensityProtocol protocol(ids, basic_config(), util::Rng(1));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
 
   // Step 1: neighbor tables are exactly N_p.
   network.step();
@@ -95,7 +95,7 @@ TEST(Protocol, HeadPropagatesOneHopPerStep) {
 
   core::DensityProtocol protocol(ids, basic_config(), util::Rng(2));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   std::size_t steps = 0;
   while (!matches_oracle(protocol, oracle, ids) && steps < 4 * n) {
     network.step();
@@ -117,7 +117,7 @@ TEST(Protocol, ConvergesToOracleOnRandomGeometry) {
     core::DensityProtocol protocol(ids, basic_config(),
                                    util::Rng(100 + trial));
     sim::PerfectDelivery loss;
-    sim::Network network(g, protocol, loss);
+    sim::ShardedNetwork network(g, protocol, loss, 1);
     network.run(80);
     EXPECT_TRUE(matches_oracle(protocol, oracle, ids)) << "trial " << trial;
   }
@@ -137,7 +137,7 @@ TEST(Protocol, ConvergesToOracleWithFusion) {
 
     core::DensityProtocol protocol(ids, config, util::Rng(200 + trial));
     sim::PerfectDelivery loss;
-    sim::Network network(g, protocol, loss);
+    sim::ShardedNetwork network(g, protocol, loss, 1);
     network.run(120);
     // Head assignment must agree with the fusion oracle.
     for (graph::NodeId p = 0; p < g.node_count(); ++p) {
@@ -163,7 +163,7 @@ TEST(Protocol, SelfStabilizesFromArbitraryState) {
     core::DensityProtocol protocol(ids, basic_config(),
                                    util::Rng(300 + trial));
     sim::PerfectDelivery loss;
-    sim::Network network(g, protocol, loss);
+    sim::ShardedNetwork network(g, protocol, loss, 1);
     network.run(50);  // reach a legitimate state first
     ASSERT_TRUE(matches_oracle(protocol, oracle, ids));
 
@@ -191,7 +191,7 @@ TEST(Protocol, SelfStabilizesUnderLossyMedium) {
   config.cache_max_age = 16;  // ride out loss bursts
   core::DensityProtocol protocol(ids, config, util::Rng(7));
   sim::BernoulliDelivery loss(0.6, util::Rng(8));
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
 
   const auto report = stabilize::run_until_stable(
       [&] { network.step(); },
@@ -211,7 +211,7 @@ TEST(Protocol, SelfStabilizesUnderBroadcastCollisions) {
   config.cache_max_age = 16;
   core::DensityProtocol protocol(ids, config, util::Rng(10));
   sim::BroadcastCollision loss(0.7, g.node_count(), util::Rng(11));
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
 
   const auto report = stabilize::run_until_stable(
       [&] { network.step(); },
@@ -229,7 +229,7 @@ TEST(Protocol, RecoversFromPartialCorruption) {
 
   core::DensityProtocol protocol(ids, basic_config(), util::Rng(13));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   network.run(50);
   ASSERT_TRUE(matches_oracle(protocol, oracle, ids));
 
@@ -249,7 +249,7 @@ TEST(Protocol, RecoversFromNodeReboots) {
 
   core::DensityProtocol protocol(ids, basic_config(), util::Rng(16));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   network.run(50);
   ASSERT_TRUE(matches_oracle(protocol, oracle, ids));
 
@@ -272,7 +272,7 @@ TEST(Protocol, DagIdsBecomeLocallyUniqueAndStay) {
   config.delta_hint = g.max_degree();
   core::DensityProtocol protocol(ids, config, util::Rng(18));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   network.run(30);
 
   const auto dag = protocol.dag_id_values();
@@ -307,7 +307,7 @@ TEST(Protocol, AdaptsToTopologyChange) {
   config.cache_max_age = 4;  // evict vanished neighbors quickly
   core::DensityProtocol protocol(ids, config, util::Rng(20));
   sim::PerfectDelivery loss;
-  sim::Network network(g_a, protocol, loss);
+  sim::ShardedNetwork network(g_a, protocol, loss, 1);
   network.run(50);
   ASSERT_TRUE(
       matches_oracle(protocol, core::cluster_density(g_a, ids, {}), ids));
@@ -325,7 +325,7 @@ TEST(Protocol, IsolatedNodeElectsItself) {
   graph::Graph g(1);
   core::DensityProtocol protocol({42}, basic_config(), util::Rng(21));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   network.run(3);
   const auto& s = protocol.state(0);
   EXPECT_TRUE(s.head_valid);

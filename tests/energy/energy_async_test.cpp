@@ -14,7 +14,7 @@
 #include "mobility/mobility.hpp"
 #include "sim/async_network.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "support/deployments.hpp"
 #include "topology/incremental.hpp"
 #include "util/rng.hpp"
@@ -43,7 +43,7 @@ std::vector<double> sync_energy_run(unsigned threads, std::size_t steps) {
   util::Rng chaos(55);
   protocol.corrupt_all(chaos);
   sim::PerfectDelivery medium;
-  sim::Network network(w.graph, protocol, medium, threads);
+  sim::ShardedNetwork network(w.graph, protocol, medium, 1, threads);
   energy::EnergyStore store(w.graph.node_count(), kBudget);
   for (std::size_t s = 0; s < steps; ++s) {
     network.step();
@@ -118,7 +118,7 @@ TEST(EnergyAsync, LiveReconvergenceKeepsAccountingDeterministic) {
         std::max<std::uint64_t>(2, live.graph().max_degree());
     core::DensityProtocol protocol(w.ids, config, rng.split());
     sim::PerfectDelivery medium;
-    sim::Network network(live.graph(), protocol, medium, threads);
+    sim::ShardedNetwork network(live.graph(), protocol, medium, 1, threads);
     energy::EnergyStore store(live.graph().node_count(), kBudget);
     for (int window = 0; window < 10; ++window) {
       mover.step(w.points, 2.0);

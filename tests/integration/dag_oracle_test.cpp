@@ -9,7 +9,7 @@
 #include "core/dag_ids.hpp"
 #include "core/protocol.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -44,7 +44,7 @@ TEST(DagOracle, SeededProtocolMatchesOfflineSolverExactly) {
     }
 
     sim::PerfectDelivery loss;
-    sim::Network network(g, protocol, loss);
+    sim::ShardedNetwork network(g, protocol, loss, 1);
     network.run(80);
 
     for (graph::NodeId p = 0; p < g.node_count(); ++p) {
@@ -82,7 +82,7 @@ TEST(DagOracle, SeededProtocolSurvivesCorruptionOfEverythingButNames) {
     protocol.mutable_state(p).dag_id = dag.ids[p];
   }
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   network.run(60);
 
   util::Rng chaos(3);

@@ -15,7 +15,7 @@
 #include "mobility/mobility.hpp"
 #include "sim/async_network.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "stabilize/convergence.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
@@ -44,7 +44,7 @@ TEST(LiveReconvergence, SyncEngineRecoversAcrossMobilityWindows) {
   topology::LiveTopology topo(points, radius);
   auto protocol = make_protocol(topo.graph(), ids, 11);
   sim::PerfectDelivery medium;
-  sim::Network network(topo.graph(), protocol, medium, 1);
+  sim::ShardedNetwork network(topo.graph(), protocol, medium, 1, 1);
 
   core::ClusteringResult oracle = core::cluster_density(topo.graph(), ids, {});
   core::LegitimacyCheck legitimacy(topo.graph(), protocol, &oracle);
@@ -81,7 +81,7 @@ TEST(LiveReconvergence, RemovedEdgeInvalidatesCachesImmediately) {
 
   auto protocol = make_protocol(topo.graph(), ids, 3);
   sim::PerfectDelivery medium;
-  sim::Network network(topo.graph(), protocol, medium, 1);
+  sim::ShardedNetwork network(topo.graph(), protocol, medium, 1, 1);
   network.run(5);
   ASSERT_TRUE(protocol.state(0).cache.contains(ids[1]));
   ASSERT_TRUE(protocol.state(1).cache.contains(ids[0]));

@@ -9,7 +9,7 @@
 #include "metrics/cluster_metrics.hpp"
 #include "routing/broadcast.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "sim/trace.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
@@ -105,7 +105,7 @@ TEST(PaperShapes, StabilizationLinearWithoutDagFlatWithIt) {
     core::DensityProtocol protocol(topology::sequential_ids(n), config,
                                    util::Rng(seed));
     sim::PerfectDelivery loss;
-    sim::Network network(g, protocol, loss);
+    sim::ShardedNetwork network(g, protocol, loss, 1);
     sim::HeadTrace trace;
     trace.observe(protocol.head_values());
     for (std::size_t step = 0; step < 4 * n; ++step) {

@@ -8,7 +8,7 @@
 #include "core/clustering.hpp"
 #include "core/protocol.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "stabilize/convergence.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
@@ -59,7 +59,7 @@ TEST_P(ProtocolSweep, ConvergesAndRecovers) {
   sim::LossModel& medium =
       param.tau < 1.0 ? static_cast<sim::LossModel&>(lossy)
                       : static_cast<sim::LossModel&>(perfect);
-  sim::Network network(g, protocol, medium);
+  sim::ShardedNetwork network(g, protocol, medium, 1);
 
   // Oracle head assignment (with the DAG, head identity depends on the
   // random names, so compare protocol-internal quiescence plus the

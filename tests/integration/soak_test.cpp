@@ -8,7 +8,7 @@
 #include "core/protocol.hpp"
 #include "sim/churn.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "sim/trace.hpp"
 #include "stabilize/convergence.hpp"
 #include "topology/generators.hpp"
@@ -30,7 +30,7 @@ TEST(Soak, RepeatedCorruptionNeverTrapsTheProtocol) {
   config.delta_hint = g.max_degree();
   core::DensityProtocol protocol(ids, config, rng.split());
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
 
   util::Rng chaos(12);
   for (int round = 0; round < 10; ++round) {
@@ -56,7 +56,7 @@ TEST(Soak, LossPlusChurnPlusCorruption) {
   config.cache_max_age = 10;
   core::DensityProtocol protocol(ids, config, rng.split());
   sim::BernoulliDelivery medium(0.75, rng.split());
-  sim::Network network(base, protocol, medium);
+  sim::ShardedNetwork network(base, protocol, medium, 1);
   sim::NodeChurn churn(base.node_count(), 0.02, 0.3, rng.split());
 
   util::Rng chaos(14);
@@ -104,7 +104,7 @@ TEST(Soak, ClosureUnderSilentSteps) {
   config.delta_hint = g.max_degree();
   core::DensityProtocol protocol(ids, config, rng.split());
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
   network.run(100);  // certainly converged
 
   sim::HeadTrace trace;

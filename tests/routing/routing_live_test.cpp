@@ -15,7 +15,7 @@
 #include "mobility/mobility.hpp"
 #include "routing/routing.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "support/deployments.hpp"
 #include "topology/incremental.hpp"
 #include "topology/udg.hpp"
@@ -40,7 +40,7 @@ TEST(RoutingLive, RecomputedRoutesAreValidAfterEveryDelta) {
       std::max<std::uint64_t>(2, live.graph().max_degree());
   core::DensityProtocol protocol(w.ids, pconfig, rng.split());
   sim::PerfectDelivery medium;
-  sim::Network network(live.graph(), protocol, medium, 1);
+  sim::ShardedNetwork network(live.graph(), protocol, medium, 1, 1);
 
   util::Rng pair_rng(99);
   for (int window = 0; window < 8; ++window) {

@@ -6,7 +6,7 @@
 
 #include "core/clustering.hpp"
 #include "core/protocol.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -138,7 +138,7 @@ TEST(Churn, ProtocolTracksFlappingTopology) {
   config.cache_max_age = 4;
   core::DensityProtocol protocol(ids, config, rng.split());
   sim::PerfectDelivery loss;
-  sim::Network network(base, protocol, loss);
+  sim::ShardedNetwork network(base, protocol, loss, 1);
 
   auto matches = [&](const graph::Graph& g) {
     const auto oracle = core::cluster_density(g, ids, {});

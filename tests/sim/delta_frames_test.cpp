@@ -6,7 +6,7 @@
 // is pure cost model — every test here pins the delta-armed execution
 // bitwise against one that never takes the path, across faults from
 // every certifier class, lossy media, topology deltas, stepping-mode
-// switches, and both step engines.
+// switches, and one shard vs many.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +15,8 @@
 
 #include "core/protocol.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/reference_network.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/incremental.hpp"
@@ -37,7 +37,7 @@ core::DensityProtocol make_protocol(const graph::Graph& g,
   return core::DensityProtocol(ids, config, util::Rng(seed));
 }
 
-/// Delta-armed arena engine vs legacy engine (full deliver every time),
+/// Delta-armed engine vs reference stepper (full deliver every time),
 /// lockstep through settle → mass fault → recovery → re-settle. The
 /// recovery tail is where delta grades appear (payload churn trickles
 /// down to a few digests per row before rows go fully bit-equal); the
@@ -52,9 +52,8 @@ TEST(DeltaFrames, DeltaPathBitIdenticalToLegacyEngine) {
   auto fast = make_protocol(g, ids, 5);
   auto slow = make_protocol(g, ids, 5);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_fast(g, fast, loss_a, 1);
-  sim::Network net_slow(g, slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  sim::ShardedNetwork net_fast(g, fast, loss_a, 1, 1);
+  testsupport::ReferenceNetwork net_slow(g, slow, loss_b);
 
   util::Rng chaos_a(77), chaos_b(77);
   for (std::size_t step = 0; step < 40; ++step) {
@@ -77,7 +76,6 @@ TEST(DeltaFrames, DeltaPathBitIdenticalToLegacyEngine) {
   EXPECT_GT(net_fast.delta_rows_graded(), 0u)
       << "the run never graded a row delta-applicable — the path under "
          "test did not execute";
-  EXPECT_EQ(net_slow.delta_rows_graded(), 0u);  // legacy engine: no grading
 }
 
 /// Every certifier fault class, injected mid-run into both executions
@@ -96,9 +94,8 @@ TEST(DeltaFrames, AllFaultClassesRecoverBitIdentically) {
     auto fast = make_protocol(g, ids, 21);
     auto slow = make_protocol(g, ids, 21);
     sim::PerfectDelivery loss_a, loss_b;
-    sim::Network net_fast(g, fast, loss_a, 1);
-    sim::Network net_slow(g, slow, loss_b, 1);
-    net_slow.set_legacy_engine(true);
+    sim::ShardedNetwork net_fast(g, fast, loss_a, 1, 1);
+    testsupport::ReferenceNetwork net_slow(g, slow, loss_b);
 
     net_fast.run(10);
     net_slow.run(10);
@@ -135,9 +132,8 @@ TEST(DeltaFrames, LossyMediumStaysBitIdentical) {
   auto slow = make_protocol(g, ids, 13);
   sim::BernoulliDelivery loss_a(0.7, util::Rng(31));
   sim::BernoulliDelivery loss_b(0.7, util::Rng(31));
-  sim::Network net_fast(g, fast, loss_a, 1);
-  sim::Network net_slow(g, slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  sim::ShardedNetwork net_fast(g, fast, loss_a, 1, 1);
+  testsupport::ReferenceNetwork net_slow(g, slow, loss_b);
 
   for (std::size_t step = 0; step < 30; ++step) {
     net_fast.step();
@@ -164,9 +160,8 @@ TEST(DeltaFrames, TopologyDeltasPoisonAndRearmBitIdentically) {
   auto fast = make_protocol(topo.graph(), ids, 9);
   auto slow = make_protocol(topo.graph(), ids, 9);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_fast(topo.graph(), fast, loss_a, 1);
-  sim::Network net_slow(topo.graph(), slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  sim::ShardedNetwork net_fast(topo.graph(), fast, loss_a, 1, 1);
+  testsupport::ReferenceNetwork net_slow(topo.graph(), slow, loss_b);
 
   util::Rng jitter(13);
   for (int window = 0; window < 6; ++window) {
@@ -188,10 +183,10 @@ TEST(DeltaFrames, TopologyDeltasPoisonAndRearmBitIdentically) {
   }
 }
 
-/// Stepping-mode and engine switches mid-run: each switch drops the row
-/// hints and poisons the delta base; the next windows must re-arm onto
-/// the same bytes.
-TEST(DeltaFrames, SteppingAndEngineSwitchesRearmBitIdentically) {
+/// Stepping-mode switches and a graph re-announce mid-run: each drops
+/// the row hints and poisons the delta base; the next windows must
+/// re-arm onto the same bytes.
+TEST(DeltaFrames, SteppingSwitchesAndGraphSwapsRearmBitIdentically) {
   util::Rng rng(52);
   const std::size_t n = 200;
   const auto points = topology::uniform_points(n, rng);
@@ -201,9 +196,8 @@ TEST(DeltaFrames, SteppingAndEngineSwitchesRearmBitIdentically) {
   auto fast = make_protocol(g, ids, 5);
   auto slow = make_protocol(g, ids, 5);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_fast(g, fast, loss_a, 1);
-  sim::Network net_slow(g, slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  sim::ShardedNetwork net_fast(g, fast, loss_a, 1, 1);
+  testsupport::ReferenceNetwork net_slow(g, slow, loss_b);
 
   util::Rng chaos_a(7), chaos_b(7);
   for (std::size_t step = 0; step < 45; ++step) {
@@ -213,8 +207,7 @@ TEST(DeltaFrames, SteppingAndEngineSwitchesRearmBitIdentically) {
     }
     if (step == 18) net_fast.set_stepping(sim::Stepping::kDirty);
     if (step == 28) net_fast.set_stepping(sim::Stepping::kFull);
-    if (step == 34) net_fast.set_legacy_engine(true);
-    if (step == 38) net_fast.set_legacy_engine(false);
+    if (step == 34) net_fast.set_graph(g);
     net_fast.step();
     net_slow.step();
     const auto div = core::first_divergent_node(fast, slow);
@@ -224,11 +217,11 @@ TEST(DeltaFrames, SteppingAndEngineSwitchesRearmBitIdentically) {
   }
 }
 
-/// Sharded engine with boundary crossings: delta rows ride the frame
-/// mailboxes for boundary senders and the shard-local arena for owned
-/// ones; both must land on the flat engine's bytes, and since both
-/// engines grade the same rows the counters must agree exactly.
-TEST(DeltaFrames, ShardedDeltaPathBitIdenticalToFlat) {
+/// Boundary crossings: delta rows ride the frame mailboxes for boundary
+/// senders and the shard-local arena for owned ones; both must land on
+/// the one-shard bytes, and since both grade the same rows the counters
+/// must agree exactly.
+TEST(DeltaFrames, ShardedDeltaPathBitIdenticalToOneShard) {
   util::Rng rng(606);
   const std::size_t n = 220;
   const auto points = topology::uniform_points(n, rng);
@@ -238,7 +231,7 @@ TEST(DeltaFrames, ShardedDeltaPathBitIdenticalToFlat) {
   auto flat = make_protocol(g, ids, 5);
   auto sharded = make_protocol(g, ids, 5);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_flat(g, flat, loss_a, 1);
+  sim::ShardedNetwork net_flat(g, flat, loss_a, 1, 1);
   sim::ShardedNetwork net_shard(g, sharded, loss_b, std::size_t{5}, 2);
 
   util::Rng chaos_a(17), chaos_b(17);
@@ -269,7 +262,7 @@ TEST(DeltaFrames, DeliverDeltaDeclinesWhenUnsafe) {
 
   auto protocol = make_protocol(g, ids, 1);
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss, 1);
+  sim::ShardedNetwork network(g, protocol, loss, 1, 1);
   network.run(10);  // settled: caches mirror neighborhoods
 
   graph::NodeId sender = 0, receiver = 0;

@@ -27,7 +27,7 @@
 #include "sim/async_network.hpp"
 #include "sim/churn.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "support/deployments.hpp"
 #include "topology/incremental.hpp"
 #include "util/env.hpp"
@@ -83,8 +83,8 @@ TEST(DirtyEquivalence, SyncStaticTopologyLockstep) {
     auto full = make_protocol(w, proto_seed);
     auto dirty = make_protocol(w, proto_seed);
     sim::PerfectDelivery loss_a, loss_b;
-    sim::Network net_full(w.graph, full, loss_a, 1);
-    sim::Network net_dirty(w.graph, dirty, loss_b, 1);
+    sim::ShardedNetwork net_full(w.graph, full, loss_a, 1, 1);
+    sim::ShardedNetwork net_dirty(w.graph, dirty, loss_b, 1, 1);
     net_dirty.set_stepping(sim::Stepping::kDirty);
 
     const std::string spec =
@@ -109,8 +109,8 @@ TEST(DirtyEquivalence, SyncFaultInjectionWakesLockstep) {
   auto full = make_protocol(w, 11);
   auto dirty = make_protocol(w, 11);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_full(w.graph, full, loss_a, 1);
-  sim::Network net_dirty(w.graph, dirty, loss_b, 1);
+  sim::ShardedNetwork net_full(w.graph, full, loss_a, 1, 1);
+  sim::ShardedNetwork net_dirty(w.graph, dirty, loss_b, 1, 1);
   net_dirty.set_stepping(sim::Stepping::kDirty);
   const std::string spec = spec_string("sync-faults", 100, 0.13, 42, 11);
 
@@ -170,8 +170,9 @@ void run_mobility_trial(const MobilityCase& mc, std::uint64_t world_seed,
   topology::LiveTopology live_dirty(w.points, radius, alive());
 
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_full(live_full.graph(), full, loss_a, 1);
-  sim::Network net_dirty(live_dirty.graph(), dirty, loss_b, dirty_threads);
+  sim::ShardedNetwork net_full(live_full.graph(), full, loss_a, 1, 1);
+  sim::ShardedNetwork net_dirty(live_dirty.graph(), dirty, loss_b, 1,
+                                dirty_threads);
   net_dirty.set_stepping(sim::Stepping::kDirty);
 
   std::ostringstream extra;
@@ -233,12 +234,12 @@ TEST(DirtyEquivalence, SyncRejectsLossyMedium) {
   const auto w = testsupport::make_deployment(30, 0.2, 1);
   auto p = make_protocol(w, 1);
   sim::BernoulliDelivery loss(0.7, util::Rng(2));
-  sim::Network net(w.graph, p, loss, 1);
+  sim::ShardedNetwork net(w.graph, p, loss, 1, 1);
   EXPECT_THROW(net.set_stepping(sim::Stepping::kDirty), std::invalid_argument);
   // Full stepping stays available, and a loss-free medium is accepted.
   net.set_stepping(sim::Stepping::kFull);
   sim::PerfectDelivery perfect;
-  sim::Network ok(w.graph, p, perfect, 1);
+  sim::ShardedNetwork ok(w.graph, p, perfect, 1, 1);
   EXPECT_NO_THROW(ok.set_stepping(sim::Stepping::kDirty));
 }
 
@@ -367,8 +368,8 @@ TEST(DirtyEquivalence, ModeSwitchMidRunKeepsTrajectory) {
   auto a = make_protocol(w, 21);
   auto b = make_protocol(w, 21);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_a(w.graph, a, loss_a, 1);
-  sim::Network net_b(w.graph, b, loss_b, 1);
+  sim::ShardedNetwork net_a(w.graph, a, loss_a, 1, 1);
+  sim::ShardedNetwork net_b(w.graph, b, loss_b, 1, 1);
   const std::string spec = spec_string("sync-mode-switch", 80, 0.14, 800, 21);
 
   std::size_t tick = 0;

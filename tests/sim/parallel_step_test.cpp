@@ -1,7 +1,8 @@
-// Parallel step engine: synchronous semantics must be thread-count
-// invariant, and the arena engine must be indistinguishable from the
-// legacy (owning-frame) engine — including the RNG draw order of
-// stateful loss models.
+// Parallel step engine at one shard, where the per-node phases split
+// into intra-shard sub-ranges: synchronous semantics must be
+// thread-count invariant under perfect and lossy media and under dirty
+// stepping, and indistinguishable from the reference (owning-frame)
+// stepper — including the RNG draw order of stateful loss models.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +12,8 @@
 #include "core/protocol.hpp"
 #include "graph/graph.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
+#include "support/reference_network.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -105,8 +107,8 @@ TEST(ParallelStep, NThreadStateIsBitIdenticalToOneThread) {
     auto serial = make_protocol(f, 7);
     auto parallel = make_protocol(f, 7);
     sim::PerfectDelivery loss_a, loss_b;
-    sim::Network net_serial(f.graph, serial, loss_a, 1);
-    sim::Network net_parallel(f.graph, parallel, loss_b, threads);
+    sim::ShardedNetwork net_serial(f.graph, serial, loss_a, 1, 1);
+    sim::ShardedNetwork net_parallel(f.graph, parallel, loss_b, 1, threads);
     ASSERT_EQ(net_parallel.thread_count(), threads);
 
     for (int s = 0; s < 12; ++s) {
@@ -125,8 +127,8 @@ TEST(ParallelStep, DeterminismSurvivesCorruptionRecovery) {
   auto serial = make_protocol(f, 3);
   auto parallel = make_protocol(f, 3);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_serial(f.graph, serial, loss_a, 1);
-  sim::Network net_parallel(f.graph, parallel, loss_b, 4);
+  sim::ShardedNetwork net_serial(f.graph, serial, loss_a, 1, 1);
+  sim::ShardedNetwork net_parallel(f.graph, parallel, loss_b, 1, 4);
 
   net_serial.run(5);
   net_parallel.run(5);
@@ -140,24 +142,59 @@ TEST(ParallelStep, DeterminismSurvivesCorruptionRecovery) {
   }
 }
 
-TEST(ParallelStep, ArenaEngineMatchesLegacyEngineUnderLoss) {
-  // Same seeds, one network on the seed engine, one on the arena engine:
-  // the Bernoulli medium must draw the same per-edge sequence and the
-  // protocols must stay in lockstep.
+TEST(ParallelStep, FourThreadsMatchOneThreadAndReferenceUnderLoss) {
+  // Same seeds on the reference stepper and on one shard at 1 and 4
+  // threads: the Bernoulli medium must draw the same per-edge sequence
+  // and all three protocols must stay in lockstep.
   const auto f = geometric_fixture(120, 0.12, 21);
-  auto legacy = make_protocol(f, 9);
-  auto arena = make_protocol(f, 9);
+  auto reference = make_protocol(f, 9);
+  auto serial = make_protocol(f, 9);
+  auto parallel = make_protocol(f, 9);
   sim::BernoulliDelivery loss_a(0.7, util::Rng(13));
   sim::BernoulliDelivery loss_b(0.7, util::Rng(13));
-  sim::Network net_legacy(f.graph, legacy, loss_a, 1);
-  net_legacy.set_legacy_engine(true);
-  sim::Network net_arena(f.graph, arena, loss_b, 1);
+  sim::BernoulliDelivery loss_c(0.7, util::Rng(13));
+  testsupport::ReferenceNetwork net_ref(f.graph, reference, loss_a);
+  sim::ShardedNetwork net_serial(f.graph, serial, loss_b, 1, 1);
+  sim::ShardedNetwork net_parallel(f.graph, parallel, loss_c, 1, 4);
 
   for (int s = 0; s < 25; ++s) {
-    net_legacy.step();
-    net_arena.step();
-    ASSERT_TRUE(states_identical(legacy, arena)) << "step " << s;
+    net_ref.step();
+    net_serial.step();
+    net_parallel.step();
+    ASSERT_TRUE(states_identical(reference, serial)) << "step " << s;
+    ASSERT_TRUE(states_identical(serial, parallel)) << "step " << s;
   }
+  EXPECT_EQ(net_serial.messages_delivered(), net_ref.messages_delivered());
+  EXPECT_EQ(net_parallel.messages_delivered(), net_ref.messages_delivered());
+}
+
+TEST(ParallelStep, DirtySteppingFourThreadsMatchOneThread) {
+  // Dirty stepping splits the compact sender and active lists into
+  // sub-ranges: a mass fault mid-run makes them long, the re-settle
+  // makes them short again.
+  const auto f = geometric_fixture(250, 0.1, 17);
+  auto serial = make_protocol(f, 4);
+  auto parallel = make_protocol(f, 4);
+  sim::PerfectDelivery loss_a, loss_b;
+  sim::ShardedNetwork net_serial(f.graph, serial, loss_a, 1, 1);
+  sim::ShardedNetwork net_parallel(f.graph, parallel, loss_b, 1, 4);
+  net_serial.set_stepping(sim::Stepping::kDirty);
+  net_parallel.set_stepping(sim::Stepping::kDirty);
+
+  util::Rng chaos_a(55), chaos_b(55);
+  for (int s = 0; s < 40; ++s) {
+    if (s == 15) {
+      serial.corrupt_all(chaos_a);
+      parallel.corrupt_all(chaos_b);
+    }
+    net_serial.step();
+    net_parallel.step();
+    ASSERT_TRUE(states_identical(serial, parallel)) << "step " << s;
+  }
+  EXPECT_EQ(net_serial.activity().nodes_stepped(),
+            net_parallel.activity().nodes_stepped());
+  EXPECT_EQ(net_serial.messages_delivered(),
+            net_parallel.messages_delivered());
 }
 
 TEST(ThreadPoolGrain, SmallCountsNeverStarveOrRepeatIndices) {
@@ -204,8 +241,8 @@ TEST(ParallelStep, SetThreadsMidRunKeepsTrajectory) {
   auto a = make_protocol(f, 1);
   auto b = make_protocol(f, 1);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_a(f.graph, a, loss_a, 1);
-  sim::Network net_b(f.graph, b, loss_b, 1);
+  sim::ShardedNetwork net_a(f.graph, a, loss_a, 1, 1);
+  sim::ShardedNetwork net_b(f.graph, b, loss_b, 1, 1);
   net_a.run(6);
   net_b.run(6);
   net_b.set_threads(4);  // must not perturb the trajectory

@@ -17,7 +17,7 @@
 #include "graph/graph.hpp"
 #include "sim/async_network.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "support/deployments.hpp"
 #include "util/rng.hpp"
 
@@ -35,7 +35,7 @@ core::DensityProtocol make_protocol(const testsupport::World& w,
 
 /// Steps until a step executes zero nodes; fails the test if that never
 /// happens within `budget` steps.
-void step_to_quiescence(sim::Network<core::DensityProtocol>& net,
+void step_to_quiescence(sim::ShardedNetwork<core::DensityProtocol>& net,
                         std::size_t budget) {
   for (std::size_t s = 0; s < budget; ++s) {
     net.step();
@@ -66,7 +66,7 @@ TEST(Quiescence, ConvergedRunStopsSteppingEntirely) {
   const auto w = testsupport::make_deployment(120, 0.12, 77);
   auto protocol = make_protocol(w, 3);
   sim::PerfectDelivery loss;
-  sim::Network net(w.graph, protocol, loss, 1);
+  sim::ShardedNetwork net(w.graph, protocol, loss, 1, 1);
   net.set_stepping(sim::Stepping::kDirty);
 
   step_to_quiescence(net, 300);
@@ -95,7 +95,7 @@ TEST(Quiescence, RemovedEdgeWakesExactlyItsClosedNeighborhood) {
   graph::DynamicGraph dyn(w.graph);
   auto protocol = make_protocol(w, 5);
   sim::PerfectDelivery loss;
-  sim::Network net(dyn.view(), protocol, loss, 1);
+  sim::ShardedNetwork net(dyn.view(), protocol, loss, 1, 1);
   net.set_stepping(sim::Stepping::kDirty);
   step_to_quiescence(net, 300);
   if (HasFatalFailure()) return;
@@ -121,7 +121,7 @@ TEST(Quiescence, RemovedEdgeWakesExactlyItsClosedNeighborhood) {
   // in the set as endpoints).
   const auto expected = closed_neighborhood(dyn.view(), {a, b});
   EXPECT_EQ(net.activity().last_nodes_stepped(), expected.size());
-  EXPECT_EQ(to_vector(net.activity().active()), expected)
+  EXPECT_EQ(to_vector(net.shard_activity(0).active()), expected)
       << "false wakeup: active set is not the delta's closed neighborhood";
 }
 
@@ -130,7 +130,7 @@ TEST(Quiescence, AddedEdgeWakesExactlyItsClosedNeighborhood) {
   graph::DynamicGraph dyn(w.graph);
   auto protocol = make_protocol(w, 6);
   sim::PerfectDelivery loss;
-  sim::Network net(dyn.view(), protocol, loss, 1);
+  sim::ShardedNetwork net(dyn.view(), protocol, loss, 1, 1);
   net.set_stepping(sim::Stepping::kDirty);
   step_to_quiescence(net, 300);
   if (HasFatalFailure()) return;
@@ -159,7 +159,7 @@ TEST(Quiescence, AddedEdgeWakesExactlyItsClosedNeighborhood) {
 
   const auto expected = closed_neighborhood(dyn.view(), {a, b});
   EXPECT_EQ(net.activity().last_nodes_stepped(), expected.size());
-  EXPECT_EQ(to_vector(net.activity().active()), expected);
+  EXPECT_EQ(to_vector(net.shard_activity(0).active()), expected);
 }
 
 TEST(Quiescence, SpuriousWakeDiesOutInOneStep) {
@@ -169,7 +169,7 @@ TEST(Quiescence, SpuriousWakeDiesOutInOneStep) {
   const auto w = testsupport::make_deployment(80, 0.14, 13);
   auto protocol = make_protocol(w, 7);
   sim::PerfectDelivery loss;
-  sim::Network net(w.graph, protocol, loss, 1);
+  sim::ShardedNetwork net(w.graph, protocol, loss, 1, 1);
   net.set_stepping(sim::Stepping::kDirty);
   step_to_quiescence(net, 300);
   if (HasFatalFailure()) return;

@@ -19,8 +19,8 @@
 
 #include "core/protocol.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/reference_network.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/incremental.hpp"
@@ -40,7 +40,7 @@ core::DensityProtocol make_protocol(const graph::Graph& g,
   return core::DensityProtocol(ids, config, util::Rng(seed));
 }
 
-/// Arena engine (fast paths armed) vs legacy engine (no row hints, full
+/// Engine (fast paths armed) vs reference stepper (no row hints, full
 /// deliver every time), identical protocol state, lockstep: any byte the
 /// fast paths fail to write shows up as a divergence. Faults injected
 /// mid-run are the adversarial part — a redelivery that ignored the
@@ -55,9 +55,8 @@ TEST(Redelivery, ArenaFastPathsBitIdenticalToLegacyEngine) {
   auto fast = make_protocol(g, ids, 5);
   auto slow = make_protocol(g, ids, 5);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_fast(g, fast, loss_a, 1);
-  sim::Network net_slow(g, slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  sim::ShardedNetwork net_fast(g, fast, loss_a, 1, 1);
+  testsupport::ReferenceNetwork net_slow(g, slow, loss_b);
 
   util::Rng chaos_a(77), chaos_b(77);
   for (std::size_t step = 0; step < 40; ++step) {
@@ -94,9 +93,8 @@ TEST(Redelivery, TopologyDeltasInvalidateHintsBitIdentically) {
   auto fast = make_protocol(topo.graph(), ids, 9);
   auto slow = make_protocol(topo.graph(), ids, 9);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_fast(topo.graph(), fast, loss_a, 1);
-  sim::Network net_slow(topo.graph(), slow, loss_b, 1);
-  net_slow.set_legacy_engine(true);
+  sim::ShardedNetwork net_fast(topo.graph(), fast, loss_a, 1, 1);
+  testsupport::ReferenceNetwork net_slow(topo.graph(), slow, loss_b);
 
   util::Rng jitter(13);
   for (int window = 0; window < 6; ++window) {
@@ -129,7 +127,7 @@ TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
 
   auto protocol = make_protocol(g, ids, 1);
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss, 1);
+  sim::ShardedNetwork network(g, protocol, loss, 1, 1);
   network.run(10);  // settled: caches mirror neighborhoods
 
   graph::NodeId sender = 0, receiver = 0;
@@ -181,22 +179,21 @@ TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
 
 // --- node-level redelivery --------------------------------------------
 
-/// A synchronous engine under test: flat (`shards == 0`) or sharded.
+/// The engine under test: its shard and thread counts.
 struct EngineConfig {
   std::size_t shards;
   unsigned threads;
 };
 
 std::string label(const EngineConfig& c) {
-  return (c.shards == 0 ? std::string("flat")
-                        : "sharded S=" + std::to_string(c.shards)) +
+  return "S=" + std::to_string(c.shards) +
          " threads=" + std::to_string(c.threads);
 }
 
-constexpr EngineConfig kEngines[] = {{0, 1}, {0, 4}, {4, 1}, {4, 4}};
+constexpr EngineConfig kEngines[] = {{1, 1}, {1, 4}, {4, 1}, {4, 4}};
 
-/// The engine under test and the legacy oracle (owning frames, no row
-/// hints, every delivery the full path) step the same world in
+/// The engine under test and the reference oracle (owning frames, no
+/// row hints, every delivery the full path) step the same world in
 /// lockstep from identically seeded protocols and loss models. Every
 /// step is checked bitwise — ages included — and reports how many
 /// receivers took the node-level path.
@@ -208,14 +205,8 @@ class Lockstep {
         slow_(make_protocol(g, ids, 7)),
         loss_fast_(sim::make_loss_model(tau, util::Rng(41))),
         loss_slow_(sim::make_loss_model(tau, util::Rng(41))),
-        oracle_(g, slow_, *loss_slow_, 1) {
-    oracle_.set_legacy_engine(true);
-    if (config.shards == 0) {
-      flat_.emplace(g, fast_, *loss_fast_, config.threads);
-    } else {
-      sharded_.emplace(g, fast_, *loss_fast_, config.shards, config.threads);
-    }
-  }
+        engine_(g, fast_, *loss_fast_, config.shards, config.threads),
+        oracle_(g, slow_, *loss_slow_) {}
 
   /// Applies the same external mutation to both protocols.
   template <typename F>
@@ -228,11 +219,7 @@ class Lockstep {
   /// Fails the test (non-fatally) on any bitwise divergence.
   std::uint64_t step() {
     const std::uint64_t before = node_redeliveries();
-    if (flat_) {
-      flat_->step();
-    } else {
-      sharded_->step();
-    }
+    engine_.step();
     oracle_.step();
     const auto div = core::first_divergent_node(fast_, slow_);
     EXPECT_EQ(div, std::nullopt)
@@ -243,7 +230,7 @@ class Lockstep {
   }
 
   [[nodiscard]] std::uint64_t node_redeliveries() const {
-    return flat_ ? flat_->node_redeliveries() : sharded_->node_redeliveries();
+    return engine_.node_redeliveries();
   }
   [[nodiscard]] bool diverged() const { return diverged_; }
   [[nodiscard]] const core::DensityProtocol& protocol() const {
@@ -255,9 +242,8 @@ class Lockstep {
   core::DensityProtocol slow_;
   std::unique_ptr<sim::LossModel> loss_fast_;
   std::unique_ptr<sim::LossModel> loss_slow_;
-  sim::Network<core::DensityProtocol> oracle_;
-  std::optional<sim::Network<core::DensityProtocol>> flat_;
-  std::optional<sim::ShardedNetwork<core::DensityProtocol>> sharded_;
+  sim::ShardedNetwork<core::DensityProtocol> engine_;
+  testsupport::ReferenceNetwork<core::DensityProtocol> oracle_;
   bool diverged_ = false;
 };
 
@@ -413,7 +399,7 @@ TEST(NodeRedelivery, ProtocolNodePathDeclinesWhenUnsafe) {
   const World w = make_world();
   auto protocol = make_protocol(w.graph, w.ids, 1);
   sim::PerfectDelivery loss;
-  sim::Network network(w.graph, protocol, loss, 1);
+  sim::ShardedNetwork network(w.graph, protocol, loss, 1, 1);
   network.run(kSettleSteps);
   const graph::NodeId v = connected_node(w.graph);
   const std::size_t degree = w.graph.degree(v);

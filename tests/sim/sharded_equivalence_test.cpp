@@ -1,9 +1,11 @@
-// Differential equivalence harness for the sharded step engine:
-// sim::ShardedNetwork must be *bit-identical* to sim::Network — every
-// shared variable, every cache entry, every per-node RNG — per tick,
-// at every tested shard count {1, 2, 7, 16} × thread count, in full
-// and dirty stepping, under lossy media, mobility deltas, and mid-run
-// fault injection. Same reporting discipline as the PR 6 dirty
+// Differential equivalence harness for the step engine:
+// sim::ShardedNetwork must be *bit-identical* to the reference stepper
+// (tests/support/reference_network.hpp) — every shared variable, every
+// cache entry, every per-node RNG — per tick, at every tested shard
+// count {1, 2, 7, 16} × thread count {1, 4} (S = 1 at 4 threads splits
+// every per-node phase into intra-shard sub-ranges), in full and dirty
+// stepping, under lossy media, mobility deltas, and mid-run fault
+// injection. Same reporting discipline as the PR 6 dirty
 // harness: any divergence names the first divergent tick + node plus a
 // replayable spec.
 #include <gtest/gtest.h>
@@ -22,9 +24,9 @@
 #include "graph/partition.hpp"
 #include "mobility/mobility.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
 #include "sim/sharded_network.hpp"
 #include "support/deployments.hpp"
+#include "support/reference_network.hpp"
 #include "topology/incremental.hpp"
 #include "topology/udg.hpp"
 #include "util/rng.hpp"
@@ -75,7 +77,7 @@ TEST(ShardedEquivalence, FullSteppingLockstepAcrossShardAndThreadCounts) {
       auto reference = make_protocol(w, 17);
       auto candidate = make_protocol(w, 17);
       sim::PerfectDelivery loss_a, loss_b;
-      sim::Network net_ref(w.graph, reference, loss_a, 1);
+      testsupport::ReferenceNetwork net_ref(w.graph, reference, loss_a);
       sim::ShardedNetwork net_shard(w.graph, candidate, loss_b, shards,
                                     threads);
       const std::string spec = spec_string("sharded-full", n, radius, 900, 17,
@@ -94,13 +96,14 @@ TEST(ShardedEquivalence, FullSteppingLockstepAcrossShardAndThreadCounts) {
 
 TEST(ShardedEquivalence, FullModeInPlaceRebuildLockstep) {
   // The campaign runner's rebuild mode mutates ONE Graph object in
-  // place and re-announces it via set_graph. The sharded engine caches
+  // place and re-announces it via set_graph. The engine caches
   // boundary-sender lists keyed to the adjacency, so a swallowed
   // re-announcement serves stale cross-shard frames — this trial pins
   // the set_graph → rebuild_boundaries path in full stepping.
   const std::size_t n = 120;
   const double radius = 0.12;
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{7}}) {
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
     auto w = testsupport::make_deployment(n, radius, 905);
     auto reference = make_protocol(w, 31);
     auto candidate = make_protocol(w, 31);
@@ -109,7 +112,7 @@ TEST(ShardedEquivalence, FullModeInPlaceRebuildLockstep) {
     graph::DynamicGraph holder;
     holder.reset(topology::unit_disk_graph(w.points, radius));
     sim::PerfectDelivery loss_a, loss_b;
-    sim::Network net_ref(holder.view(), reference, loss_a, 1);
+    testsupport::ReferenceNetwork net_ref(holder.view(), reference, loss_a);
     sim::ShardedNetwork net_shard(holder.view(), candidate, loss_b, shards, 2);
     const std::string spec =
         spec_string("sharded-rebuild", n, radius, 905, 31, shards, 2);
@@ -150,7 +153,7 @@ TEST(ShardedEquivalence, SpatialPlanPermutedWorldLockstep) {
   auto reference = make_protocol(pw, 23);
   auto candidate = make_protocol(pw, 23);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_ref(pw.graph, reference, loss_a, 1);
+  testsupport::ReferenceNetwork net_ref(pw.graph, reference, loss_a);
   sim::ShardedNetwork net_shard(pw.graph, candidate, loss_b, plan.bounds, 4);
   const std::string spec =
       spec_string("sharded-spatial", n, radius, 901, 23, plan.shard_count(), 4);
@@ -168,12 +171,12 @@ TEST(ShardedEquivalence, LossyMediumDrawsIdenticalRngSequence) {
   const std::size_t n = 120;
   const double radius = 0.12;
   const auto w = testsupport::make_deployment(n, radius, 902);
-  for (const std::size_t shards : {2ul, 7ul}) {
+  for (const std::size_t shards : {1ul, 2ul, 7ul}) {
     auto reference = make_protocol(w, 31);
     auto candidate = make_protocol(w, 31);
     sim::BernoulliDelivery loss_a(0.7, util::Rng(13));
     sim::BernoulliDelivery loss_b(0.7, util::Rng(13));
-    sim::Network net_ref(w.graph, reference, loss_a, 1);
+    testsupport::ReferenceNetwork net_ref(w.graph, reference, loss_a);
     sim::ShardedNetwork net_shard(w.graph, candidate, loss_b, shards, 2);
     const std::string spec =
         spec_string("sharded-lossy", n, radius, 902, 31, shards, 2);
@@ -189,11 +192,11 @@ TEST(ShardedEquivalence, LossyMediumDrawsIdenticalRngSequence) {
 
 void run_mobility_trial(std::size_t shards, unsigned threads,
                         std::uint64_t world_seed, std::uint64_t proto_seed) {
-  // Three populations in lockstep: unsharded full (ground truth),
-  // unsharded dirty (PR 6 guarantee), sharded dirty (this PR). The
-  // sharded engine must match the ground truth bit for bit *and*
-  // reproduce the unsharded dirty stepper's aggregate activity
-  // counters — same active sets, just carved across shards.
+  // Three populations in lockstep: the reference stepper (ground
+  // truth), one-shard dirty, and `shards`-shard dirty. The candidate
+  // must match the ground truth bit for bit *and* reproduce the
+  // one-shard dirty stepper's aggregate activity counters — same
+  // active sets, just carved across shards.
   const std::size_t n = 110;
   const double radius = 0.13;
   auto w = testsupport::make_deployment(n, radius, world_seed);
@@ -208,8 +211,8 @@ void run_mobility_trial(std::size_t shards, unsigned threads,
   topology::LiveTopology live_shard(w.points, radius);
 
   sim::PerfectDelivery loss_a, loss_b, loss_c;
-  sim::Network net_full(live_full.graph(), full, loss_a, 1);
-  sim::Network net_dirty(live_dirty.graph(), dirty, loss_b, 1);
+  testsupport::ReferenceNetwork net_full(live_full.graph(), full, loss_a);
+  sim::ShardedNetwork net_dirty(live_dirty.graph(), dirty, loss_b, 1, 1);
   sim::ShardedNetwork net_shard(live_shard.graph(), sharded, loss_c, shards,
                                 threads);
   net_dirty.set_stepping(sim::Stepping::kDirty);
@@ -252,9 +255,11 @@ TEST(ShardedEquivalence, DirtyMobilityLockstepAcrossShardCounts) {
 }
 
 TEST(ShardedEquivalence, DirtyMobilityLockstepIsThreadCountInvariant) {
-  for (const unsigned threads : {2u, 4u}) {
-    run_mobility_trial(7, threads, 1100 + threads, 6);
-    if (HasFatalFailure()) return;
+  for (const std::size_t shards : {1ul, 7ul}) {
+    for (const unsigned threads : {2u, 4u}) {
+      run_mobility_trial(shards, threads, 1100 + threads, 6);
+      if (HasFatalFailure()) return;
+    }
   }
 }
 
@@ -267,7 +272,7 @@ TEST(ShardedEquivalence, DirtyFaultInjectionWakesCrossShards) {
   auto full = make_protocol(w, 11);
   auto sharded = make_protocol(w, 11);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_full(w.graph, full, loss_a, 1);
+  testsupport::ReferenceNetwork net_full(w.graph, full, loss_a);
   sim::ShardedNetwork net_shard(w.graph, sharded, loss_b, 7, 2);
   net_shard.set_stepping(sim::Stepping::kDirty);
   const std::string spec = spec_string("sharded-faults", n, 0.13, 903, 11, 7, 2);
@@ -301,7 +306,7 @@ TEST(ShardedEquivalence, ModeSwitchMidRunKeepsTrajectory) {
   auto a = make_protocol(w, 21);
   auto b = make_protocol(w, 21);
   sim::PerfectDelivery loss_a, loss_b;
-  sim::Network net_a(w.graph, a, loss_a, 1);
+  testsupport::ReferenceNetwork net_a(w.graph, a, loss_a);
   sim::ShardedNetwork net_b(w.graph, b, loss_b, 7, 2);
   const std::string spec = spec_string("sharded-mode-switch", 90, 0.14, 904,
                                        21, 7, 2);
@@ -344,7 +349,7 @@ TEST(ShardedEquivalence, DegenerateShapesAreWellDefined) {
     auto reference = make_protocol(w, 2);
     auto candidate = make_protocol(w, 2);
     sim::PerfectDelivery loss_a, loss_b;
-    sim::Network net_ref(w.graph, reference, loss_a, 1);
+    testsupport::ReferenceNetwork net_ref(w.graph, reference, loss_a);
     sim::ShardedNetwork net_shard(w.graph, candidate, loss_b, std::size_t{64},
                                   2u);
     EXPECT_EQ(net_shard.shard_count(), 5u);
@@ -361,7 +366,7 @@ TEST(ShardedEquivalence, DegenerateShapesAreWellDefined) {
     auto reference = make_protocol(w, 3);
     auto candidate = make_protocol(w, 3);
     sim::PerfectDelivery loss_a, loss_b;
-    sim::Network net_ref(w.graph, reference, loss_a, 1);
+    testsupport::ReferenceNetwork net_ref(w.graph, reference, loss_a);
     sim::ShardedNetwork net_shard(w.graph, candidate, loss_b,
                                   std::vector<std::size_t>{0, 8, 8, 8, 20}, 2u);
     net_shard.set_stepping(sim::Stepping::kDirty);
@@ -390,7 +395,7 @@ TEST(ShardedEquivalence, RejectsMalformedBoundsAndLossyDirty) {
                std::invalid_argument);
   EXPECT_THROW(Net(w.graph, p, perfect, std::vector<std::size_t>{}, 1u),
                std::invalid_argument);
-  // Dirty mode needs a loss-free medium, same contract as sim::Network.
+  // Dirty mode needs a loss-free medium.
   sim::BernoulliDelivery lossy(0.7, util::Rng(2));
   Net net(w.graph, p, lossy, std::size_t{4}, 1u);
   EXPECT_THROW(net.set_stepping(sim::Stepping::kDirty), std::invalid_argument);

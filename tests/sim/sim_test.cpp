@@ -1,12 +1,13 @@
-// Unit tests for the radio runtime: loss models and synchronous network
-// semantics (double buffering, per-receiver delivery).
+// Unit tests for the radio runtime: loss models and synchronous step
+// semantics (double buffering, per-receiver delivery), pinned on the
+// reference stepper with toy owning-frame protocols.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "graph/graph.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "support/reference_network.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -44,7 +45,7 @@ TEST(Network, PerfectDeliveryReachesAllNeighbors) {
   const auto g = graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   CountingProtocol protocol(4);
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  testsupport::ReferenceNetwork network(g, protocol, loss);
   network.step();
   EXPECT_EQ(protocol.deliveries[0], 1);  // hears node 1
   EXPECT_EQ(protocol.deliveries[1], 2);  // hears 0 and 2
@@ -59,7 +60,7 @@ TEST(Network, FramesSnapshotPreTickState) {
   const auto g = graph::from_edges(2, {{0, 1}});
   CountingProtocol protocol(2);
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  testsupport::ReferenceNetwork network(g, protocol, loss);
   network.step();  // frames carry 0
   EXPECT_EQ(protocol.received_sum[0], 0);
   network.step();  // frames carry 1
@@ -72,7 +73,7 @@ TEST(Network, RunExecutesExactly) {
   graph::Graph g(3);
   CountingProtocol protocol(3);
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  testsupport::ReferenceNetwork network(g, protocol, loss);
   network.run(7);
   EXPECT_EQ(network.steps_run(), 7u);
   for (int v : protocol.value) EXPECT_EQ(v, 7);
@@ -83,7 +84,7 @@ TEST(Network, GraphSwapChangesConnectivity) {
   const auto g2 = graph::from_edges(3, {{1, 2}});
   CountingProtocol protocol(3);
   sim::PerfectDelivery loss;
-  sim::Network network(g1, protocol, loss);
+  testsupport::ReferenceNetwork network(g1, protocol, loss);
   network.step();
   EXPECT_EQ(protocol.deliveries[2], 0);
   network.set_graph(g2);
@@ -97,7 +98,7 @@ TEST(Loss, BernoulliRespectsTau) {
   const double tau = 0.3;
   CountingProtocol protocol(2);
   sim::BernoulliDelivery loss(tau, util::Rng(5));
-  sim::Network network(g, protocol, loss);
+  testsupport::ReferenceNetwork network(g, protocol, loss);
   const int steps = 5000;
   network.run(steps);
   const double observed =
@@ -133,7 +134,7 @@ TEST(Loss, BroadcastCollisionLosesWholeFrame) {
 
   RecordingProtocol protocol;
   sim::BroadcastCollision loss(0.5, 3, util::Rng(6));
-  sim::Network network(g, protocol, loss);
+  testsupport::ReferenceNetwork network(g, protocol, loss);
   int mismatch = 0;
   int heard = 0;
   for (int step = 0; step < 2000; ++step) {

@@ -6,7 +6,7 @@
 #include "core/protocol.hpp"
 #include "sim/async_network.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -112,7 +112,7 @@ TEST(Trace, ProtocolExecutionQuiescesAndStaysQuiet) {
   config.delta_hint = g.max_degree();
   core::DensityProtocol protocol(ids, config, rng.split());
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss);
+  sim::ShardedNetwork network(g, protocol, loss, 1);
 
   sim::HeadTrace trace;
   trace.observe(protocol.head_values());

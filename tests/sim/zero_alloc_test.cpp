@@ -17,7 +17,7 @@
 #include "core/protocol.hpp"
 #include "graph/graph.hpp"
 #include "sim/loss.hpp"
-#include "sim/network.hpp"
+#include "sim/sharded_network.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
 #include "topology/udg.hpp"
@@ -76,7 +76,7 @@ TEST(ZeroAlloc, SteadyStateStepDoesNotTouchTheHeap) {
   config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
   core::DensityProtocol protocol(ids, config, util::Rng(4));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss, 1);
+  sim::ShardedNetwork network(g, protocol, loss, 1, 1);
 
   // Warm-up: caches fill, DAG names settle, arena buffers reach final
   // capacity.
@@ -109,7 +109,7 @@ TEST(ZeroAlloc, ActiveRecoveryRegimeDoesNotTouchTheHeap) {
   config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
   core::DensityProtocol protocol(ids, config, util::Rng(4));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss, 1);
+  sim::ShardedNetwork network(g, protocol, loss, 1, 1);
 
   network.run(30);  // steady: caches, slabs, and arenas at high water
 
@@ -149,7 +149,7 @@ TEST(ZeroAlloc, DeltaEncodeAndApplyDoNotTouchTheHeap) {
   config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
   core::DensityProtocol protocol(ids, config, util::Rng(4));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss, 1);
+  sim::ShardedNetwork network(g, protocol, loss, 1, 1);
 
   network.run(30);  // steady: caches, slabs, arenas at high water
 
@@ -181,7 +181,7 @@ TEST(ZeroAlloc, PoolDispatchDoesNotTouchTheHeap) {
   config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
   core::DensityProtocol protocol(ids, config, util::Rng(4));
   sim::PerfectDelivery loss;
-  sim::Network network(g, protocol, loss, 4);  // worker pool engaged
+  sim::ShardedNetwork network(g, protocol, loss, 1, 4);  // worker pool engaged
 
   network.run(30);  // warm-up: pool spawned, buffers sized, caches steady
 
