@@ -648,9 +648,7 @@ class ShardedNetwork {
       }
     }
     // 1e (per shard, serial): the mailbox flush.
-    if (S > 1) {
-      for_shards([this, S](std::size_t s) { flush_boundary_frames(s, S); });
-    }
+    for_shards([this](std::size_t s) { flush_boundary_frames(s); });
 
     // Phase 2 (serial unless τ = 1): per-edge delivery decisions, polled
     // sender-major so stateful loss models draw the exact same RNG
@@ -802,7 +800,8 @@ class ShardedNetwork {
 
   /// Copies source shard `s`'s boundary rows (full and delta) into the
   /// (s, t) frame mailbox of every other shard t.
-  void flush_boundary_frames(std::size_t s, std::size_t S) {
+  void flush_boundary_frames(std::size_t s) {
+    const std::size_t S = shard_count();
     const Shard& sh = shards_[s];
     for (std::size_t t = 0; t < S; ++t) {
       if (t == s) continue;
@@ -976,25 +975,22 @@ class ShardedNetwork {
                           sh.offsets[i + 1] - sh.offsets[i]));
           }
         });
-    if (S > 1) {
-      for_shards([this, S](std::size_t s) {
-        const Shard& sh = shards_[s];
-        for (std::size_t t = 0; t < S; ++t) {
-          if (t == s) continue;
-          const auto& req = req_mb_[t * S + s];
-          FrameMailbox& mb = frame_mb_[s * S + t];
-          mb.senders.assign(req.begin(), req.end());
-          mb.headers.clear();
-          mb.pool.clear();
-          mb.offsets.assign(1, 0);
-          for (const graph::NodeId p : req) {
-            append_frame(
-                mb, sh,
-                sh.sender_slot[static_cast<std::size_t>(p) - sh.begin]);
-          }
+    for_shards([this, S](std::size_t s) {
+      const Shard& sh = shards_[s];
+      for (std::size_t t = 0; t < S; ++t) {
+        if (t == s) continue;
+        const auto& req = req_mb_[t * S + s];
+        FrameMailbox& mb = frame_mb_[s * S + t];
+        mb.senders.assign(req.begin(), req.end());
+        mb.headers.clear();
+        mb.pool.clear();
+        mb.offsets.assign(1, 0);
+        for (const graph::NodeId p : req) {
+          append_frame(mb, sh,
+                       sh.sender_slot[static_cast<std::size_t>(p) - sh.begin]);
         }
-      });
-    }
+      }
+    });
 
     // Phase 3 (by range of active receivers): every active node pulls
     // every neighbor's frame, ascending-sender order as always.

@@ -5,9 +5,9 @@
 // count {1, 2, 7, 16} × thread count {1, 4} (S = 1 at 4 threads splits
 // every per-node phase into intra-shard sub-ranges), in full and dirty
 // stepping, under lossy media, mobility deltas, and mid-run fault
-// injection. Same reporting discipline as the PR 6 dirty
-// harness: any divergence names the first divergent tick + node plus a
-// replayable spec.
+// injection. Same reporting discipline as the dirty-stepping harness
+// (dirty_equivalence_test.cpp): any divergence names the first
+// divergent tick + node plus a replayable spec.
 #include <gtest/gtest.h>
 
 #include <cstdint>
