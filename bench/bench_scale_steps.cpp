@@ -18,8 +18,9 @@
 //               sub-ranges over T worker threads
 //
 // Steps/sec and speedups vs the seed stepper are reported per topology,
-// with the engine's count of receivers that took the node-level
-// redelivery (every heard row bit-equal) in its timed steps.
+// with the engine's counts, over its timed steps, of receivers that took
+// the node-level redelivery (every heard row bit-equal), sweeps skipped
+// and frame rows reused (the node's whole previous step held).
 //
 // Environment:
 //   SSMWN_SCALE_MAX_N  cap on n (default 100000; CI smoke uses 1000)
@@ -50,12 +51,23 @@ core::DensityProtocol make_protocol(const bench::Instance& inst,
   return core::DensityProtocol(inst.ids, config, rng.split());
 }
 
-/// One timed window: steps/sec plus the receivers that took the
-/// node-level redelivery during it (n per step once every row is
-/// bit-equal).
+/// The engine's work counters (each n per step once the whole field
+/// holds).
+struct Counts {
+  std::uint64_t node_redeliveries = 0;
+  std::uint64_t sweeps_skipped = 0;
+  std::uint64_t rows_reused = 0;
+
+  Counts operator-(const Counts& o) const {
+    return {node_redeliveries - o.node_redeliveries,
+            sweeps_skipped - o.sweeps_skipped, rows_reused - o.rows_reused};
+  }
+};
+
+/// One timed window: steps/sec plus the work counts during it.
 struct Measurement {
   double sps = 0.0;
-  std::uint64_t node_redeliveries = 0;
+  Counts counts;
 };
 
 /// Steady-state steps/sec: warm caches first, then time `steps` steps.
@@ -66,24 +78,26 @@ Measurement measure(const bench::Instance& inst, util::Rng& rng,
   util::Rng local = rng;  // identical protocol state for every engine
   auto protocol = make_protocol(inst, local);
   sim::PerfectDelivery loss;
-  const auto timed = [steps](auto& network, auto node_count) {
+  const auto timed = [steps](auto& network, auto counts) {
     network.run(5);  // warm-up: fill caches, size arena buffers
-    const std::uint64_t before = node_count(network);
+    const Counts before = counts(network);
     const auto start = std::chrono::steady_clock::now();
     network.run(steps);
     const auto elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     return Measurement{static_cast<double>(steps) / elapsed,
-                       node_count(network) - before};
+                       counts(network) - before};
   };
   if (threads == 0) {
     testsupport::ReferenceNetwork network(inst.graph, protocol, loss);
-    return timed(network, [](const auto&) { return std::uint64_t{0}; });
+    return timed(network, [](const auto&) { return Counts{}; });
   }
   sim::ShardedNetwork network(inst.graph, protocol, loss, 1, threads);
-  return timed(network,
-               [](const auto& net) { return net.node_redeliveries(); });
+  return timed(network, [](const auto& net) {
+    return Counts{net.node_redeliveries(), net.sweeps_skipped(),
+                  net.rows_reused()};
+  });
 }
 
 std::size_t steps_for(std::size_t n) {
@@ -163,7 +177,7 @@ int main() {
                  util::Table::num(arena_sps / seed_sps, 2) + "x",
                  util::Table::num(par_sps / seed_sps, 2) + "x",
                  util::Table::integer(static_cast<long long>(
-                     arena.node_redeliveries / steps))});
+                     arena.counts.node_redeliveries / steps))});
       json.add(std::string(row.name) + "/seed", nodes, 1, "steps_per_s",
                seed_sps);
       json.add(std::string(row.name) + "/arena", nodes, 1, "steps_per_s",
@@ -171,7 +185,11 @@ int main() {
       json.add(std::string(row.name) + "/parallel", nodes, threads,
                "steps_per_s", par_sps);
       json.add(std::string(row.name) + "/arena-node-redeliveries", nodes, 1,
-               "count", static_cast<double>(arena.node_redeliveries));
+               "count", static_cast<double>(arena.counts.node_redeliveries));
+      json.add(std::string(row.name) + "/arena-sweeps-skipped", nodes, 1,
+               "count", static_cast<double>(arena.counts.sweeps_skipped));
+      json.add(std::string(row.name) + "/arena-rows-reused", nodes, 1,
+               "count", static_cast<double>(arena.counts.rows_reused));
     }
   }
   table.note("seed = reference stepper (per-step owning frames, no fast "
@@ -182,6 +200,8 @@ int main() {
   table.note("node-level/step = receivers whose delivery and cache aging "
              "collapsed to one call (every heard row bit-equal); n once "
              "the whole field holds, identical for any thread count");
+  table.note("BENCH_scale_steps.json also counts the arena run's skipped "
+             "sweeps and reused frame rows (n per step at a full hold)");
   bench::print(table);
   json.write();
   return 0;

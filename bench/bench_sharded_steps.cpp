@@ -87,8 +87,9 @@ ShardedInstance shard_instance(const bench::Instance& inst, double radius,
 /// spatial shard plan. After 20 clean steps a mass fault is injected
 /// into all three so the recovery window exercises the redelivery fast
 /// paths — including the delta-encoded frames. The work counters
-/// (messages, node-level redeliveries, delta-graded rows) must be
-/// exactly equal between one shard and S shards, and must all fire.
+/// (messages, node-level redeliveries, delta-graded rows, skipped
+/// sweeps, reused rows) must be exactly equal between one shard and S
+/// shards, and must all fire.
 bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
   const auto inst = bench::poisson_instance(2000.0, 0.035, rng);
   const auto sharded_inst = shard_instance(inst, 0.035, shards);
@@ -145,17 +146,24 @@ bool equivalence_gate(util::Rng& rng, std::size_t shards, unsigned threads) {
       !counts_agree("node-level redeliveries", net_one.node_redeliveries(),
                     net_shard.node_redeliveries()) ||
       !counts_agree("delta-frame grading", net_one.delta_rows_graded(),
-                    net_shard.delta_rows_graded())) {
+                    net_shard.delta_rows_graded()) ||
+      !counts_agree("skipped sweeps", net_one.sweeps_skipped(),
+                    net_shard.sweeps_skipped()) ||
+      !counts_agree("reused rows", net_one.rows_reused(),
+                    net_shard.rows_reused())) {
     return false;
   }
   std::printf("equivalence gate: PASS (n=%zu, %zu shards, %u threads, "
               "35 steps bit-identical across reference/one shard/sharded, "
-              "%llu messages, %llu delta-graded rows and %llu node-level "
-              "redeliveries agree)\n\n",
+              "%llu messages, %llu delta-graded rows, %llu node-level "
+              "redeliveries, %llu skipped sweeps and %llu reused rows "
+              "agree)\n\n",
               g.node_count(), shards, threads,
               static_cast<unsigned long long>(net_one.messages_delivered()),
               static_cast<unsigned long long>(net_one.delta_rows_graded()),
-              static_cast<unsigned long long>(net_one.node_redeliveries()));
+              static_cast<unsigned long long>(net_one.node_redeliveries()),
+              static_cast<unsigned long long>(net_one.sweeps_skipped()),
+              static_cast<unsigned long long>(net_one.rows_reused()));
   return true;
 }
 
@@ -174,13 +182,16 @@ std::size_t steps_for(std::size_t n) {
 ///   steady — steps 10+: the clustering has converged (metric-degree-8
 ///            Poisson worlds settle ≈99% of frame rows by step 10), the
 ///            regime the old warm-up never reached at n = 1M.
-/// Alongside each steady rate: the receivers that took the node-level
-/// redelivery during the timed steady steps — nodes × steps once every
-/// frame row is bit-equal, the work count that explains the rate.
+/// Alongside each steady rate, the work counts that explain it, over
+/// the timed steady steps: receivers that took the node-level
+/// redelivery, sweeps skipped, and frame rows reused — each nodes ×
+/// steps once the whole field holds.
 struct RegimeSps {
   double active = 0.0;
   double steady = 0.0;
   std::uint64_t steady_node_redeliveries = 0;
+  std::uint64_t steady_sweeps_skipped = 0;
+  std::uint64_t steady_rows_reused = 0;
 };
 
 template <typename Network>
@@ -188,9 +199,13 @@ RegimeSps time_regimes(Network& network, std::size_t steps) {
   RegimeSps out;
   out.active = time_steps(network, 3, 3);
   network.run(4);
-  const std::uint64_t before = network.node_redeliveries();
+  const std::uint64_t node0 = network.node_redeliveries();
+  const std::uint64_t skip0 = network.sweeps_skipped();
+  const std::uint64_t reuse0 = network.rows_reused();
   out.steady = time_steps(network, 0, steps);
-  out.steady_node_redeliveries = network.node_redeliveries() - before;
+  out.steady_node_redeliveries = network.node_redeliveries() - node0;
+  out.steady_sweeps_skipped = network.sweeps_skipped() - skip0;
+  out.steady_rows_reused = network.rows_reused() - reuse0;
   return out;
 }
 
@@ -278,6 +293,14 @@ int main() {
              static_cast<double>(flat.steady_node_redeliveries));
     json.add("poisson/sharded-node-redeliveries", nodes, threads, "count",
              static_cast<double>(shard.steady_node_redeliveries));
+    json.add("poisson/unsharded-sweeps-skipped", nodes, 1, "count",
+             static_cast<double>(flat.steady_sweeps_skipped));
+    json.add("poisson/sharded-sweeps-skipped", nodes, threads, "count",
+             static_cast<double>(shard.steady_sweeps_skipped));
+    json.add("poisson/unsharded-rows-reused", nodes, 1, "count",
+             static_cast<double>(flat.steady_rows_reused));
+    json.add("poisson/sharded-rows-reused", nodes, threads, "count",
+             static_cast<double>(shard.steady_rows_reused));
   }
 
   table.note("both rows step the identical protocol state on the "
@@ -288,9 +311,11 @@ int main() {
              "over settled id sequences); steady = steps 10 onward (the "
              "converged regime the table's former single number claimed "
              "but, at n = 1M, never warmed up to)");
-  table.note("BENCH_sharded_steps.json also counts the receivers that "
-             "took the node-level redelivery in the timed steady steps "
-             "(n per step at a full hold; identical at any shard count)");
+  table.note("BENCH_sharded_steps.json also counts, over the timed "
+             "steady steps, the receivers that took the node-level "
+             "redelivery, the sweeps skipped and the frame rows reused "
+             "(each n per step at a full hold; identical at any shard "
+             "count)");
   table.note("single-worker machines measure the sharding overhead "
              "(mailboxes + per-shard arenas); the parallel win needs "
              "SSMWN_THREADS > 1");

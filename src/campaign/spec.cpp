@@ -695,6 +695,10 @@ CampaignPlan expand(const CampaignSpec& spec) {
                    "baseline)");
             }
           }
+          if (plan.grid.size() == kMaxPlanRuns) {
+            fail("plan exceeds " + std::to_string(kMaxPlanRuns) +
+                 " runs (grid points alone)");
+          }
           plan.grid.push_back({config, canonical_config(config)});
           }
         }
@@ -702,6 +706,12 @@ CampaignPlan expand(const CampaignSpec& spec) {
     }
   }
 
+  // grid × replications > cap, without forming the (overflowable) product.
+  if (plan.grid.size() > kMaxPlanRuns / spec.replications) {
+    fail("plan exceeds " + std::to_string(kMaxPlanRuns) + " runs (" +
+         std::to_string(plan.grid.size()) + " grid point(s) x " +
+         std::to_string(spec.replications) + " replications)");
+  }
   plan.runs.reserve(plan.grid.size() * spec.replications);
   for (std::size_t g = 0; g < plan.grid.size(); ++g) {
     for (std::size_t rep = 0; rep < spec.replications; ++rep) {

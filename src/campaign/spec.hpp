@@ -236,8 +236,16 @@ struct CampaignPlan {
   std::vector<RunPlanEntry> runs;
 };
 
+/// Most runs one plan may hold (grid points × replications). A plan
+/// entry is small, but a daemon keeps a result slot per run too, and a
+/// count that parses (replications up to 1e15) would otherwise surface
+/// as an allocation failure halfway through expansion — or, where it
+/// fits, as a daemon that grows without bound.
+inline constexpr std::size_t kMaxPlanRuns = 1'000'000;
+
 /// Cartesian-expands the spec. Validates first; throws SpecError on
-/// impossible combinations (e.g. speed_min > speed_max).
+/// impossible combinations (e.g. speed_min > speed_max) and on plans
+/// of more than kMaxPlanRuns runs.
 [[nodiscard]] CampaignPlan expand(const CampaignSpec& spec);
 
 /// Seed of replication `rep` of the grid point with the given canonical

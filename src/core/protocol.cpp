@@ -106,7 +106,9 @@ DensityProtocol::DensityProtocol(topology::IdAssignment uids,
   // whatever the cache then holds (trivially 0 for an empty cache).
   links_fresh_.assign(uids_.size(), 0);
   resync_.assign(uids_.size(), 0);
-  node_redelivered_.assign(uids_.size(), 0);
+  node_hold_.assign(uids_.size(), kNotHeld);
+  // No sweep has run yet, so none is known to be a fixpoint.
+  stable_.assign(uids_.size(), 0);
   // Rank keys are trivially fresh at birth: every cache is empty.
   ranks_fresh_.assign(uids_.size(), 1);
 
@@ -375,7 +377,7 @@ bool DensityProtocol::redeliver_node_unchanged(graph::NodeId receiver,
       aux_[receiver].cache.size() != degree) {
     return false;
   }
-  node_redelivered_[receiver] = 1;
+  node_hold_[receiver] = kNodeAccepted;
   return true;
 }
 
@@ -460,8 +462,10 @@ void DensityProtocol::tick(graph::NodeId node) {
     tracked_tick(node);
     return;
   }
+  const ScalarRow before = scalar_row(cols_, node);
   NodeState s = view(node);
   engine_.sweep(s);
+  stable_[node] = rows_bitwise_equal(before, scalar_row(cols_, node)) ? 1 : 0;
 }
 
 void DensityProtocol::tracked_tick(graph::NodeId node) {
@@ -479,6 +483,12 @@ void DensityProtocol::tracked_tick(graph::NodeId node) {
 
 bool DensityProtocol::maybe_tick(graph::NodeId node) {
   if (!tracking_) {
+    // Held: the accepted node-level redelivery proved every cached entry
+    // still holds the bytes the previous sweep read (an eviction after
+    // that sweep would have cleared stable_), and nothing mutated the
+    // node since (resync_ would have declined the offer). The previous
+    // sweep was a fixpoint, so this one would be too.
+    if (node_hold_[node] == kNodeAccepted && stable_[node] != 0) return false;
     tick(node);
     return true;
   }
@@ -514,7 +524,6 @@ void DensityProtocol::set_activity_tracking(bool on) {
     external_list_.clear();
   } else {
     pending_.clear();
-    stable_.clear();
     step_state_changed_.clear();
     step_frame_changed_.clear();
     external_mark_.clear();
@@ -543,12 +552,15 @@ std::vector<graph::NodeId> DensityProtocol::take_external_wakes() {
 }
 
 void DensityProtocol::end_step(graph::NodeId node) {
-  if (node_redelivered_[node] != 0) {
+  if (node_hold_[node] == kNodeAccepted) {
     // Every entry is back at age 1 and nothing was evicted, inserted or
-    // resynced — see redeliver_node_unchanged.
-    node_redelivered_[node] = 0;
+    // resynced — see redeliver_node_unchanged. With a skipped or
+    // fixpoint sweep the whole step was held, so the next frame repeats
+    // this step's (frame_held).
+    node_hold_[node] = stable_[node] != 0 ? kFrameHeld : kNotHeld;
     return;
   }
+  node_hold_[node] = kNotHeld;
   auto& cache = aux_[node].cache;
   const bool maintain = maintain_links_ && links_fresh_[node] != 0;
   for (auto it = cache.begin(); it != cache.end();) {
@@ -561,6 +573,9 @@ void DensityProtocol::end_step(graph::NodeId node) {
             cache, it->first,
             {it->second.digests.data(), it->second.digests.size()});
       }
+      // Eviction changes the cache the last sweep read: that sweep's
+      // fixpoint says nothing about the next one.
+      stable_[node] = 0;
       if (tracking_) {
         // Eviction changes the cache (a rule input) and removes a digest
         // row from the node's next frame.

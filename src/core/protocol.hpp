@@ -297,8 +297,21 @@ class DensityProtocol {
   /// unique, graphs loop-free) and aged it to 1; rules never touch
   /// caches, so equal size leaves no room for a phantom entry, every
   /// entry would go 1 → 0 → 1, and no eviction or compaction is due.
-  /// On acceptance the receiver's next end_step returns at once.
+  /// On acceptance the receiver's next end_step returns at once, and
+  /// its sweep this step is skippable (see maybe_tick).
   bool redeliver_node_unchanged(graph::NodeId receiver, std::size_t degree);
+  /// True iff `sender`'s whole last step was held — node-level
+  /// redelivery accepted, and its sweep skipped or a fixpoint — and
+  /// nothing mutated it since: its next frame is bit-identical to the
+  /// one it built last step, so an engine holding that row may reuse it
+  /// instead of calling make_frame (sim::NodeRedeliveryProtocol).
+  /// Proof: an accepted node-level redelivery leaves every cache entry's
+  /// content (ids, payloads) as it was when last step's frame was
+  /// built; a fixpoint sweep leaves the shared variables too; frames
+  /// read nothing else (ages never reach a frame).
+  [[nodiscard]] bool frame_held(graph::NodeId sender) const noexcept {
+    return node_hold_[sender] == kFrameHeld && resync_[sender] == 0;
+  }
   /// Fast path for a frame whose *id sequence* the engine proved
   /// unchanged since this receiver last consumed it (payloads — DAG ids,
   /// metrics, head bits — may differ): e(N_p) depends only on which ids
@@ -390,9 +403,14 @@ class DensityProtocol {
 
   /// Sweeps the guarded rules unless the sweep is provably a no-op: the
   /// previous sweep changed nothing (`self-stable`) and no input changed
-  /// since (no differing frame content, no eviction, no external
-  /// mutation). Returns true iff the sweep ran. With tracking disabled
-  /// this is exactly `tick`.
+  /// since. Returns true iff the sweep ran. With tracking on, "no input
+  /// changed" is the change detector's verdict (no differing frame
+  /// content, no eviction, no external mutation). With tracking off it
+  /// is proved only for a node the engine offered whole this step and
+  /// this protocol accepted (redeliver_node_unchanged): every cached
+  /// entry holds the bytes the previous sweep read, no eviction
+  /// followed that sweep, and nothing mutated the node since; any other
+  /// node sweeps, exactly as `tick`.
   bool maybe_tick(graph::NodeId node);
 
   /// Returns and clears the node's accumulated activity flags for the
@@ -564,23 +582,31 @@ class DensityProtocol {
   /// declines so the next sweep's full compares resync this receiver's
   /// cache. Cleared by `end_step` (which runs after that sweep).
   std::vector<std::uint8_t> resync_;
-  /// Set by an accepted `redeliver_node_unchanged`; the node's end_step
-  /// of the same step consumes it and skips the aging sweep.
-  std::vector<std::uint8_t> node_redelivered_;
+  /// Node-level hold state. kNodeAccepted from an accepted
+  /// `redeliver_node_unchanged` until the same step's end_step, which
+  /// skips the aging sweep and turns it into kFrameHeld when the node's
+  /// sweep was skipped or a fixpoint (`frame_held`), kNotHeld otherwise.
+  /// Every other end_step clears it.
+  enum : std::uint8_t { kNotHeld = 0, kNodeAccepted = 1, kFrameHeld = 2 };
+  std::vector<std::uint8_t> node_hold_;
   /// Memoized-≺-key counterpart of links_fresh_: when set, every cache
   /// entry of p carries rank_key == entry_key(...). Cleared by external
   /// mutation; restored by the repack at the next R2 firing. Internal
   /// writes keep keys correct regardless of the flag (the key is a pure
   /// function of the entry, recomputed whenever one is written).
   std::vector<std::uint8_t> ranks_fresh_;
+  /// The last sweep changed none of the node's shared variables, and no
+  /// eviction has changed its inputs since. Kept on every sweep path,
+  /// tracked or not: the tracked maybe_tick reads it together with
+  /// `pending_`, the untracked one for node-level-held nodes. A fixpoint
+  /// sweep drew no randomness — N1 draws only when it renames.
+  std::vector<std::uint8_t> stable_;
 
   // --- quiescence machinery (all empty / untouched while tracking_ is
   // off, so the classic engines pay nothing) ---------------------------
   bool tracking_ = false;
   /// An input changed since the last sweep; the next sweep must run.
   std::vector<std::uint8_t> pending_;
-  /// The last sweep changed none of the node's shared variables.
-  std::vector<std::uint8_t> stable_;
   /// Step-scoped: some rule-relevant state changed this step.
   std::vector<std::uint8_t> step_state_changed_;
   /// Step-scoped: some frame-visible state changed this step.

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -116,8 +117,8 @@ Server::~Server() {
   request_stop();
   {
     const std::scoped_lock lock(threads_mutex_);
-    for (auto& thread : connections_) {
-      if (thread.joinable()) thread.join();
+    for (auto& c : connections_) {
+      if (c.thread.joinable()) c.thread.join();
     }
   }
   close_fd(listen_fd_);
@@ -130,6 +131,11 @@ void Server::request_stop() noexcept {
   // SIGTERM handler. The byte's value is irrelevant; the wakeup is.
   const char byte = 's';
   [[maybe_unused]] const ssize_t rc = ::write(stop_pipe_[1], &byte, 1);
+}
+
+std::size_t Server::connection_threads() {
+  const std::scoped_lock lock(threads_mutex_);
+  return connections_.size();
 }
 
 void Server::run() {
@@ -145,7 +151,10 @@ void Server::run() {
     const int one = 1;
     ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const std::scoped_lock lock(threads_mutex_);
-    connections_.emplace_back(&Server::serve_connection, this, conn);
+    reap_finished();
+    Connection& c = connections_.emplace_back();
+    c.thread = std::thread(&Server::serve_connection, this, conn,
+                           std::ref(c.done));
   }
   // Drain: no new connections; in-flight connections finish their
   // current spec, and every connection waiting for its next frame wakes
@@ -154,15 +163,26 @@ void Server::run() {
   close_fd(listen_fd_);
   {
     const std::scoped_lock lock(threads_mutex_);
-    for (auto& thread : connections_) {
-      if (thread.joinable()) thread.join();
+    for (auto& c : connections_) {
+      if (c.thread.joinable()) c.thread.join();
     }
     connections_.clear();
   }
   pool_.drain();
 }
 
-void Server::serve_connection(int fd) {
+void Server::reap_finished() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void Server::serve_connection(int fd, std::atomic<bool>& done) {
   try {
     Frame frame;
     while (await_input(fd, stop_pipe_[0]) && read_frame(fd, frame)) {
@@ -199,6 +219,7 @@ void Server::serve_connection(int fd) {
     // connection and keep the daemon serving everyone else.
   }
   ::close(fd);
+  done.store(true, std::memory_order_release);
 }
 
 }  // namespace ssmwn::serve

@@ -1,12 +1,13 @@
 // The `ssmwn serve` daemon: scenario specs in, run results out.
 //
 // One long-lived TCP listener; each accepted connection gets its own
-// thread that speaks the framed protocol (serve/wire.hpp): read a spec
-// frame, expand it, submit every run to the shared ServePool, then
-// stream result frames back *in plan order* — workers complete slots in
-// whatever order scheduling produces, but the connection thread waits
-// on slot i before slot i+1, so the client-visible stream is
-// byte-deterministic. A connection can submit any number of specs
+// thread (joined at the next accept once it has finished) that speaks
+// the framed protocol (serve/wire.hpp): read a spec frame, expand it
+// (plans over campaign::kMaxPlanRuns runs get an error frame), submit
+// every run to the shared ServePool, then stream result frames back *in
+// plan order* — workers complete slots in whatever order scheduling
+// produces, but the connection thread waits on slot i before slot i+1,
+// so the client-visible stream is byte-deterministic. A connection can submit any number of specs
 // sequentially; concurrent specs come from concurrent connections, all
 // multiplexed onto the one pool (which is the point: the pool's
 // workspaces and threads are shared capacity, not per-request cost).
@@ -24,10 +25,11 @@
 // of a reply for the client's delayed ACK (~40 ms).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "campaign/runner.hpp"
 #include "serve/worker_pool.hpp"
@@ -64,8 +66,21 @@ class Server {
   /// self-pipe) — designed to be called from a SIGTERM/SIGINT handler.
   void request_stop() noexcept;
 
+  /// Connection threads not yet joined: the ones serving a client, plus
+  /// any that finished since the last accept (those are joined there).
+  [[nodiscard]] std::size_t connection_threads();
+
  private:
-  void serve_connection(int fd);
+  /// One accepted client's thread; `done` is set as the thread's last
+  /// act, so the accept loop can join it without blocking.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
+  void serve_connection(int fd, std::atomic<bool>& done);
+  /// Joins and drops every finished connection (threads_mutex_ held).
+  void reap_finished();
 
   ServerOptions options_;
   std::uint16_t port_ = 0;
@@ -73,7 +88,7 @@ class Server {
   int stop_pipe_[2] = {-1, -1};
   ServePool pool_;
   std::mutex threads_mutex_;
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;  // stable addresses for `done`
 };
 
 }  // namespace ssmwn::serve

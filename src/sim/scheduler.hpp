@@ -124,12 +124,24 @@ concept RedeliveryProtocol =
 /// bit-for-bit unchanged — it then owes nothing for the step but must
 /// make the receiver's end_step a no-op; on false the engine runs the
 /// per-edge paths as usual.
+///
+/// Two more savings ride on an accepted node. If the protocol is also a
+/// QuiescentProtocol, the engine sweeps through `maybe_tick`, which may
+/// skip the sweep of an accepted node whose previous sweep was a
+/// fixpoint. And `frame_held(sender)` — true when the sender's whole
+/// previous step was held (accepted, sweep skipped or a fixpoint) and
+/// nothing mutated it since — tells the engine that the sender's next
+/// frame equals the row it built last step: with that row still in its
+/// arena the engine reuses it (a copy, unless the bytes are already in
+/// place) and grades it kRowIdsEqual | kRowBitsEqual instead of
+/// building and comparing.
 template <typename P>
 concept NodeRedeliveryProtocol =
     RedeliveryProtocol<P> &&
-    requires(P& p, graph::NodeId receiver, std::size_t degree) {
+    requires(P& p, const P& cp, graph::NodeId receiver, std::size_t degree) {
       { p.redeliver_node_unchanged(receiver, degree) } ->
           std::convertible_to<bool>;
+      { cp.frame_held(receiver) } -> std::convertible_to<bool>;
     };
 
 /// Offers receiver `q` whole (NodeRedeliveryProtocol) when every sender

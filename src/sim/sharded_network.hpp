@@ -276,6 +276,23 @@ class ShardedNetwork {
     return node_redeliveries_;
   }
 
+  /// Rule sweeps the full stepper skipped as provably no-ops (a
+  /// node-level-accepted receiver whose previous sweep was a fixpoint;
+  /// see NodeRedeliveryProtocol) across all steps so far — n per step at
+  /// a full hold. Same folding and invariance as node_redeliveries().
+  [[nodiscard]] std::uint64_t sweeps_skipped() const noexcept {
+    return sweeps_skipped_;
+  }
+
+  /// Frame rows the full stepper copied from last step's arena instead
+  /// of building and grading (the sender's whole previous step was held,
+  /// NodeRedeliveryProtocol::frame_held) across all steps so far — n per
+  /// step at a full hold. Same folding and invariance as
+  /// node_redeliveries().
+  [[nodiscard]] std::uint64_t rows_reused() const noexcept {
+    return rows_reused_;
+  }
+
   /// Notifies the engine that the observed graph was just patched with
   /// `delta` (dynamic-topology runs; the owner mutates the graph via
   /// graph::DynamicGraph, then calls this). Topology-aware protocols
@@ -371,6 +388,9 @@ class ShardedNetwork {
     std::vector<std::size_t> delta_offsets;
     std::vector<std::uint32_t> delta_counts;
     std::uint64_t delta_rows = 0;
+    // Phase 1a's verdict: this step's offsets equal those of the rows
+    // this buffer already holds (built two steps ago).
+    bool rows_in_place = false;
     // Full stepping: for each destination shard, the owned nodes with at
     // least one neighbor there (ascending). Rebuilt after topology
     // changes; copied into the frame mailboxes every step.
@@ -558,23 +578,34 @@ class ShardedNetwork {
     }
     // 1a (per shard, serial): swap the double buffer, size the arena.
     // Row i of the pool is [offsets[i], offsets[i+1]), mirroring the
-    // CSR layout of the graph.
+    // CSR layout of the graph. A held sender's row keeps last step's
+    // length (reuse_row) without asking the protocol. The swapped-in
+    // buffer still holds the rows built two steps ago; when every
+    // offset comes out as it was, those rows are still in place.
     for_shards([this, protocol](std::size_t s) {
       Shard& sh = shards_[s];
       const std::size_t local_n = sh.end - sh.begin;
+      [[maybe_unused]] bool reuse = false;
       if constexpr (RedeliveryProtocol<Protocol>) {
         std::swap(sh.headers, sh.prev_headers);
         std::swap(sh.pool, sh.prev_pool);
         std::swap(sh.offsets, sh.prev_offsets);
         sh.delta_counts.assign(local_n, 0);
+        reuse = prev_rows_built_ && sh.prev_offsets.size() == local_n + 1;
       }
+      bool in_place = sh.offsets.size() == local_n + 1;
       sh.offsets.resize(local_n + 1);
       sh.offsets[0] = 0;
       for (std::size_t i = 0; i < local_n; ++i) {
-        sh.offsets[i + 1] =
-            sh.offsets[i] + protocol->digest_count(static_cast<graph::NodeId>(
-                                sh.begin + i));
+        const auto p = static_cast<graph::NodeId>(sh.begin + i);
+        const std::size_t len =
+            reuse && frame_held(*protocol, p)
+                ? sh.prev_offsets[i + 1] - sh.prev_offsets[i]
+                : protocol->digest_count(p);
+        in_place = in_place && sh.offsets[i + 1] == sh.offsets[i] + len;
+        sh.offsets[i + 1] = sh.offsets[i] + len;
       }
+      sh.rows_in_place = in_place;
       sh.pool.resize(sh.offsets[local_n]);
       sh.headers.resize(local_n);
     });
@@ -586,25 +617,35 @@ class ShardedNetwork {
     // additionally kRowBitsEqual (the whole row, header included, is
     // bit-identical — the quiescent regime), or additionally
     // kRowDeltaApplicable (ids held and at most half the digests moved
-    // — the late-recovery regime, worth delta-encoding). Each range
+    // — the late-recovery regime, worth delta-encoding). A sender the
+    // protocol proved held (reuse_row) skips both: its row is last
+    // step's, copied, and grades bit-equal by construction. Each range
     // writes only its own slice of the global grade bitmap.
-    for_shard_ranges(owned, [this, protocol](std::size_t s, std::size_t lo,
-                                             std::size_t hi) {
+    std::atomic<std::uint64_t> rows_reused{0};
+    for_shard_ranges(owned, [&, protocol](std::size_t s, std::size_t lo,
+                                          std::size_t hi) {
       Shard& sh = shards_[s];
+      [[maybe_unused]] bool cmp = false;
+      if constexpr (RedeliveryProtocol<Protocol>) {
+        cmp = prev_rows_built_ && sh.prev_offsets.size() == sh.offsets.size();
+      }
+      std::uint64_t reused = 0;
       for (std::size_t i = lo; i < hi; ++i) {
+        if (cmp && reuse_row(*protocol, sh, i)) {
+          ++reused;
+          continue;
+        }
         protocol->make_frame(
             static_cast<graph::NodeId>(sh.begin + i), sh.headers[i],
             std::span(sh.pool.data() + sh.offsets[i],
                       sh.offsets[i + 1] - sh.offsets[i]));
-      }
-      if constexpr (RedeliveryProtocol<Protocol>) {
-        const bool cmp = prev_rows_built_ &&
-                         sh.prev_offsets.size() == sh.offsets.size();
-        for (std::size_t i = lo; i < hi; ++i) {
+        if constexpr (RedeliveryProtocol<Protocol>) {
           row_unchanged_[sh.begin + i] = cmp ? grade_row(sh, i) : 0;
         }
       }
+      rows_reused.fetch_add(reused, std::memory_order_relaxed);
     });
+    rows_reused_ += rows_reused.load(std::memory_order_relaxed);
     if constexpr (RedeliveryProtocol<Protocol>) {
       // 1c (per shard, serial): CSR offsets for the delta rows. changed
       // <= len/2 per applicable row, so half the shard's digest count
@@ -732,13 +773,26 @@ class ShardedNetwork {
     });
     node_redeliveries_ += node_redeliveries.load(std::memory_order_relaxed);
 
-    // Phases 4 + 5 (by range): guarded rules, then cache aging.
-    for_shard_ranges(owned, [this, protocol](std::size_t s, std::size_t lo,
-                                             std::size_t hi) {
+    // Phases 4 + 5 (by range): guarded rules, then cache aging. With
+    // node-level redelivery and the quiescence extension, sweeps go
+    // through maybe_tick, which skips a node-level-accepted receiver's
+    // sweep when its previous one was a fixpoint (scheduler.hpp).
+    std::atomic<std::uint64_t> sweeps_skipped{0};
+    for_shard_ranges(owned, [&, protocol](std::size_t s, std::size_t lo,
+                                          std::size_t hi) {
+      std::uint64_t skipped = 0;
       for (std::size_t i = lo; i < hi; ++i) {
-        protocol->tick(static_cast<graph::NodeId>(shards_[s].begin + i));
+        const auto p = static_cast<graph::NodeId>(shards_[s].begin + i);
+        if constexpr (NodeRedeliveryProtocol<Protocol> &&
+                      QuiescentProtocol<Protocol>) {
+          skipped += !protocol->maybe_tick(p);
+        } else {
+          protocol->tick(p);
+        }
       }
+      sweeps_skipped.fetch_add(skipped, std::memory_order_relaxed);
     });
+    sweeps_skipped_ += sweeps_skipped.load(std::memory_order_relaxed);
     for_shard_ranges(owned, [this, protocol](std::size_t s, std::size_t lo,
                                              std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
@@ -756,6 +810,37 @@ class ShardedNetwork {
       // behind the rows the compare runs against).
       row_hints_valid_ = hear_all;
     }
+  }
+
+  /// NodeRedeliveryProtocol::frame_held, or false for protocols without
+  /// the extension.
+  static bool frame_held(const Protocol& protocol, graph::NodeId p) {
+    if constexpr (NodeRedeliveryProtocol<Protocol>) {
+      return protocol.frame_held(p);
+    } else {
+      return false;
+    }
+  }
+
+  /// Reuses last step's owned row `i` as this step's when the protocol
+  /// proved its sender held (frame_held): the row make_frame would
+  /// write is then bit-identical to last step's, so it grades
+  /// kRowIdsEqual | kRowBitsEqual. Phase 1a already gave it last step's
+  /// length. The bytes are copied from prev_* unless they are already
+  /// here: the row graded bit-equal last step (so both buffers hold it)
+  /// and no offset of the shard moved. Callers first check that last
+  /// step's rows exist. Returns whether the row was reused.
+  bool reuse_row(const Protocol& protocol, Shard& sh, std::size_t i) {
+    const std::size_t p = sh.begin + i;
+    if (!frame_held(protocol, static_cast<graph::NodeId>(p))) return false;
+    if (!sh.rows_in_place || (row_unchanged_[p] & kRowBitsEqual) == 0) {
+      sh.headers[i] = sh.prev_headers[i];
+      std::copy_n(sh.prev_pool.data() + sh.prev_offsets[i],
+                  sh.offsets[i + 1] - sh.offsets[i],
+                  sh.pool.data() + sh.offsets[i]);
+    }
+    row_unchanged_[p] = kRowIdsEqual | kRowBitsEqual;
+    return true;
   }
 
   /// Grades owned row `i` of `sh` against the same row of last step's
@@ -1087,6 +1172,8 @@ class ShardedNetwork {
   std::uint64_t delta_base_generation_ = kNoGeneration;
   std::uint64_t delta_rows_graded_ = 0;
   std::uint64_t node_redeliveries_ = 0;
+  std::uint64_t sweeps_skipped_ = 0;
+  std::uint64_t rows_reused_ = 0;
   bool prev_rows_built_ = false;
   bool row_hints_valid_ = false;
   ActivityTracker stats_;                // aggregate counters only

@@ -464,6 +464,28 @@ TEST(CampaignSpec, SpecErrorIsInvalidArgument) {
                std::invalid_argument);
 }
 
+TEST(CampaignSpec, OversizedPlansAreRejectedBeforeAllocating) {
+  // A count the parser accepts but no plan can hold must fail as a spec
+  // error (the serve daemon answers those with an X frame), not as an
+  // allocation failure halfway through expansion.
+  const auto huge =
+      campaign::parse_spec_text("replications = 1000000000000");
+  EXPECT_THROW((void)campaign::expand(huge), SpecError);
+  // The cap counts runs, grid points times replications, without
+  // overflowing the product.
+  const auto wide = campaign::parse_spec_text(
+      "variant = basic, improved\nreplications = " +
+      std::to_string(campaign::kMaxPlanRuns / 2 + 1));
+  EXPECT_THROW((void)campaign::expand(wide), SpecError);
+  const auto limit = campaign::parse_spec_text(
+      "replications = 1000000000000000");
+  EXPECT_THROW((void)campaign::expand(limit), SpecError);
+  // At the cap itself the plan still expands.
+  const auto at_cap = campaign::parse_spec_text(
+      "replications = " + std::to_string(campaign::kMaxPlanRuns));
+  EXPECT_EQ(campaign::expand(at_cap).runs.size(), campaign::kMaxPlanRuns);
+}
+
 TEST(CampaignSpec, FormattingIsLocaleIndependent) {
   // Byte-identical replay must hold under any LC_NUMERIC: a locale with
   // a comma decimal separator and dot grouping (de_DE) must change

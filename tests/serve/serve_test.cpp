@@ -346,5 +346,64 @@ TEST(Server, StopDrainsPastAnIdleConnection) {
                           "with an idle client connected";
 }
 
+TEST(Server, OversizedPlanGetsAnErrorFrameAndTheDaemonKeepsServing) {
+  std::signal(SIGPIPE, SIG_IGN);
+  serve::ServerOptions options;
+  options.threads = 1;
+  serve::Server server(options);
+  std::thread accept_thread([&server] { server.run(); });
+
+  // Parses, but no plan can hold it: the client must get an X frame
+  // (not a silently dropped connection) ...
+  const std::string huge =
+      submit_spec(server.port(), "n = 20\nreplications = 1000000000000\n");
+  EXPECT_EQ(huge.substr(0, 1), "X") << huge;
+  // ... and the daemon must still serve the next client.
+  const auto plan =
+      campaign::expand(campaign::parse_spec_text(kTinySpecText));
+  const std::string ok = submit_spec(server.port(), kTinySpecText);
+  EXPECT_NE(ok.find("E" + std::to_string(plan.runs.size())),
+            std::string::npos);
+
+  server.request_stop();
+  accept_thread.join();
+}
+
+TEST(Server, FinishedConnectionThreadsAreReaped) {
+  std::signal(SIGPIPE, SIG_IGN);
+  serve::ServerOptions options;
+  options.threads = 1;
+  serve::Server server(options);
+  std::thread accept_thread([&server] { server.run(); });
+
+  // Sequential clients, each done before the next connects. Without
+  // reaping, every one leaves a finished thread behind until shutdown.
+  constexpr int kCycles = 64;
+  const auto plan =
+      campaign::expand(campaign::parse_spec_text(kTinySpecText));
+  for (int i = 0; i < kCycles; ++i) {
+    const int fd = connect_client(server.port());
+    ASSERT_EQ(exchange(fd, kTinySpecText), plan.runs.size());
+    ::close(fd);
+  }
+  // A finished thread is joined at the next accept; the last few may
+  // still be winding down, so connect a few more times (a bounded
+  // number: each connection is one more thread on a daemon that leaks).
+  std::size_t live = server.connection_threads();
+  for (int extra = 0; extra < 20 && live > 2; ++extra) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int fd = connect_client(server.port());
+    EXPECT_EQ(exchange(fd, kTinySpecText), plan.runs.size());
+    ::close(fd);
+    live = server.connection_threads();
+  }
+  EXPECT_LE(live, 2u) << "connection threads after " << kCycles
+                      << " finished clients";
+
+  server.request_stop();
+  accept_thread.join();
+  EXPECT_EQ(server.connection_threads(), 0u);
+}
+
 }  // namespace
 }  // namespace ssmwn

@@ -10,16 +10,14 @@
 // force a resync.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/protocol.hpp"
 #include "sim/loss.hpp"
 #include "sim/sharded_network.hpp"
+#include "support/engine_lockstep.hpp"
 #include "support/reference_network.hpp"
 #include "topology/generators.hpp"
 #include "topology/ids.hpp"
@@ -30,15 +28,7 @@
 namespace ssmwn {
 namespace {
 
-core::DensityProtocol make_protocol(const graph::Graph& g,
-                                    const topology::IdAssignment& ids,
-                                    std::uint64_t seed) {
-  core::ProtocolConfig config;
-  config.cluster.use_dag_ids = true;
-  config.cluster.fusion = true;
-  config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
-  return core::DensityProtocol(ids, config, util::Rng(seed));
-}
+using testsupport::make_full_protocol;
 
 /// Engine (fast paths armed) vs reference stepper (no row hints, full
 /// deliver every time), identical protocol state, lockstep: any byte the
@@ -52,8 +42,8 @@ TEST(Redelivery, ArenaFastPathsBitIdenticalToLegacyEngine) {
   const auto ids = topology::random_ids(n, rng);
   const auto g = topology::unit_disk_graph(points, 0.11);
 
-  auto fast = make_protocol(g, ids, 5);
-  auto slow = make_protocol(g, ids, 5);
+  auto fast = make_full_protocol(g, ids, 5);
+  auto slow = make_full_protocol(g, ids, 5);
   sim::PerfectDelivery loss_a, loss_b;
   sim::ShardedNetwork net_fast(g, fast, loss_a, 1, 1);
   testsupport::ReferenceNetwork net_slow(g, slow, loss_b);
@@ -90,8 +80,8 @@ TEST(Redelivery, TopologyDeltasInvalidateHintsBitIdentically) {
   const auto ids = topology::random_ids(n, rng);
 
   topology::LiveTopology topo(points, radius);
-  auto fast = make_protocol(topo.graph(), ids, 9);
-  auto slow = make_protocol(topo.graph(), ids, 9);
+  auto fast = make_full_protocol(topo.graph(), ids, 9);
+  auto slow = make_full_protocol(topo.graph(), ids, 9);
   sim::PerfectDelivery loss_a, loss_b;
   sim::ShardedNetwork net_fast(topo.graph(), fast, loss_a, 1, 1);
   testsupport::ReferenceNetwork net_slow(topo.graph(), slow, loss_b);
@@ -125,7 +115,7 @@ TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
   const auto ids = topology::random_ids(n, rng);
   const auto g = topology::unit_disk_graph(points, 0.25);
 
-  auto protocol = make_protocol(g, ids, 1);
+  auto protocol = make_full_protocol(g, ids, 1);
   sim::PerfectDelivery loss;
   sim::ShardedNetwork network(g, protocol, loss, 1, 1);
   network.run(10);  // settled: caches mirror neighborhoods
@@ -179,111 +169,15 @@ TEST(Redelivery, ProtocolFastPathsDeclineWhenUnsafe) {
 
 // --- node-level redelivery --------------------------------------------
 
-/// The engine under test: its shard and thread counts.
-struct EngineConfig {
-  std::size_t shards;
-  unsigned threads;
-};
-
-std::string label(const EngineConfig& c) {
-  return "S=" + std::to_string(c.shards) +
-         " threads=" + std::to_string(c.threads);
-}
-
-constexpr EngineConfig kEngines[] = {{1, 1}, {1, 4}, {4, 1}, {4, 4}};
-
-/// The engine under test and the reference oracle (owning frames, no
-/// row hints, every delivery the full path) step the same world in
-/// lockstep from identically seeded protocols and loss models. Every
-/// step is checked bitwise — ages included — and reports how many
-/// receivers took the node-level path.
-class Lockstep {
- public:
-  Lockstep(const graph::Graph& g, const topology::IdAssignment& ids,
-           EngineConfig config, double tau)
-      : fast_(make_protocol(g, ids, 7)),
-        slow_(make_protocol(g, ids, 7)),
-        loss_fast_(sim::make_loss_model(tau, util::Rng(41))),
-        loss_slow_(sim::make_loss_model(tau, util::Rng(41))),
-        engine_(g, fast_, *loss_fast_, config.shards, config.threads),
-        oracle_(g, slow_, *loss_slow_) {}
-
-  /// Applies the same external mutation to both protocols.
-  template <typename F>
-  void mutate(F&& f) {
-    f(fast_);
-    f(slow_);
-  }
-
-  /// One lockstep step; returns this step's node-level redeliveries.
-  /// Fails the test (non-fatally) on any bitwise divergence.
-  std::uint64_t step() {
-    const std::uint64_t before = node_redeliveries();
-    engine_.step();
-    oracle_.step();
-    const auto div = core::first_divergent_node(fast_, slow_);
-    EXPECT_EQ(div, std::nullopt)
-        << "step " << oracle_.steps_run() << ":\n"
-        << (div ? core::describe_divergence(fast_, slow_, *div) : "");
-    diverged_ = diverged_ || div.has_value();
-    return node_redeliveries() - before;
-  }
-
-  [[nodiscard]] std::uint64_t node_redeliveries() const {
-    return engine_.node_redeliveries();
-  }
-  [[nodiscard]] bool diverged() const { return diverged_; }
-  [[nodiscard]] const core::DensityProtocol& protocol() const {
-    return fast_;
-  }
-
- private:
-  core::DensityProtocol fast_;
-  core::DensityProtocol slow_;
-  std::unique_ptr<sim::LossModel> loss_fast_;
-  std::unique_ptr<sim::LossModel> loss_slow_;
-  sim::ShardedNetwork<core::DensityProtocol> engine_;
-  testsupport::ReferenceNetwork<core::DensityProtocol> oracle_;
-  bool diverged_ = false;
-};
-
-/// A settling world: 200 nodes, mean degree ~8, some of them isolated
-/// (degree-0 receivers take the node-level path vacuously).
-struct World {
-  graph::Graph graph;
-  topology::IdAssignment ids;
-};
-
-World make_world() {
-  util::Rng rng(20051003);
-  const std::size_t n = 200;
-  const auto points = topology::uniform_points(n, rng);
-  World w;
-  w.ids = topology::random_ids(n, rng);
-  w.graph = topology::unit_disk_graph(points, 0.11);
-  return w;
-}
-
-constexpr std::size_t kSettleSteps = 60;
-
-/// Steps until the hold is steady; fails unless the last step already
-/// took the node-level path for every receiver.
-void settle(Lockstep& run, std::size_t n) {
-  std::uint64_t last = 0;
-  for (std::size_t s = 0; s < kSettleSteps && !run.diverged(); ++s) {
-    last = run.step();
-  }
-  ASSERT_EQ(last, n) << "world did not reach a steady hold";
-}
-
-/// The first node with at least one neighbor.
-graph::NodeId connected_node(const graph::Graph& g) {
-  for (graph::NodeId p = 0; p < g.node_count(); ++p) {
-    if (g.degree(p) > 0) return p;
-  }
-  ADD_FAILURE() << "world has no edge";
-  return 0;
-}
+using testsupport::connected_node;
+using testsupport::EngineConfig;
+using testsupport::kEngines;
+using testsupport::kSettleSteps;
+using testsupport::label;
+using testsupport::Lockstep;
+using testsupport::make_world;
+using testsupport::settle;
+using testsupport::World;
 
 /// Perfect medium, settled: every receiver hears only bit-equal rows, so
 /// the counter advances by exactly n per step — and the state (cache
@@ -397,7 +291,7 @@ TEST(NodeRedelivery, SwappedNeighborTakesResyncPath) {
 /// Unit semantics of the node-level call's protocol half.
 TEST(NodeRedelivery, ProtocolNodePathDeclinesWhenUnsafe) {
   const World w = make_world();
-  auto protocol = make_protocol(w.graph, w.ids, 1);
+  auto protocol = make_full_protocol(w.graph, w.ids, 1);
   sim::PerfectDelivery loss;
   sim::ShardedNetwork network(w.graph, protocol, loss, 1, 1);
   network.run(kSettleSteps);
