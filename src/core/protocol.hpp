@@ -393,11 +393,12 @@ class DensityProtocol {
     bool frame_changed = false;
   };
 
-  /// Turns per-node change detection on or off. Off (the default) the
-  /// hot paths are exactly the classic ones — `deliver` overwrites
-  /// without comparing, `tick` sweeps without snapshotting. Turning it
-  /// on (re)arms every node as pending, so the first tracked step is
-  /// always a full one.
+  /// Turns per-node change detection on or off. Off (the default)
+  /// nothing compares per delivery — `deliver` overwrites as in the
+  /// classic paths — and `tick` snapshots only the seven scalars around
+  /// its sweep, to keep the fixpoint flag behind maybe_tick's skip of a
+  /// held node. Turning it on (re)arms every node as pending, so the
+  /// first tracked step is always a full one.
   void set_activity_tracking(bool on);
   [[nodiscard]] bool activity_tracking() const noexcept { return tracking_; }
 

@@ -578,30 +578,24 @@ class ShardedNetwork {
     }
     // 1a (per shard, serial): swap the double buffer, size the arena.
     // Row i of the pool is [offsets[i], offsets[i+1]), mirroring the
-    // CSR layout of the graph. A held sender's row keeps last step's
-    // length (reuse_row) without asking the protocol. The swapped-in
-    // buffer still holds the rows built two steps ago; when every
-    // offset comes out as it was, those rows are still in place.
+    // CSR layout of the graph. The swapped-in buffer still holds the
+    // rows built two steps ago; when every offset comes out as it was,
+    // those rows are still in place (reuse_row).
     for_shards([this, protocol](std::size_t s) {
       Shard& sh = shards_[s];
       const std::size_t local_n = sh.end - sh.begin;
-      [[maybe_unused]] bool reuse = false;
       if constexpr (RedeliveryProtocol<Protocol>) {
         std::swap(sh.headers, sh.prev_headers);
         std::swap(sh.pool, sh.prev_pool);
         std::swap(sh.offsets, sh.prev_offsets);
         sh.delta_counts.assign(local_n, 0);
-        reuse = prev_rows_built_ && sh.prev_offsets.size() == local_n + 1;
       }
       bool in_place = sh.offsets.size() == local_n + 1;
       sh.offsets.resize(local_n + 1);
       sh.offsets[0] = 0;
       for (std::size_t i = 0; i < local_n; ++i) {
-        const auto p = static_cast<graph::NodeId>(sh.begin + i);
-        const std::size_t len =
-            reuse && frame_held(*protocol, p)
-                ? sh.prev_offsets[i + 1] - sh.prev_offsets[i]
-                : protocol->digest_count(p);
+        const std::size_t len = protocol->digest_count(
+            static_cast<graph::NodeId>(sh.begin + i));
         in_place = in_place && sh.offsets[i + 1] == sh.offsets[i] + len;
         sh.offsets[i + 1] = sh.offsets[i] + len;
       }
@@ -823,20 +817,23 @@ class ShardedNetwork {
   }
 
   /// Reuses last step's owned row `i` as this step's when the protocol
-  /// proved its sender held (frame_held): the row make_frame would
-  /// write is then bit-identical to last step's, so it grades
-  /// kRowIdsEqual | kRowBitsEqual. Phase 1a already gave it last step's
-  /// length. The bytes are copied from prev_* unless they are already
-  /// here: the row graded bit-equal last step (so both buffers hold it)
-  /// and no offset of the shard moved. Callers first check that last
-  /// step's rows exist. Returns whether the row was reused.
+  /// proved its sender held (frame_held) and the row kept last step's
+  /// length: the row make_frame would write is then bit-identical to
+  /// last step's, so it grades kRowIdsEqual | kRowBitsEqual. The bytes
+  /// are copied from prev_* unless they are already here: the row
+  /// graded bit-equal last step (so both buffers hold it) and no offset
+  /// of the shard moved. Callers first check that last step's rows
+  /// exist. Returns whether the row was reused.
   bool reuse_row(const Protocol& protocol, Shard& sh, std::size_t i) {
     const std::size_t p = sh.begin + i;
-    if (!frame_held(protocol, static_cast<graph::NodeId>(p))) return false;
+    const std::size_t len = sh.offsets[i + 1] - sh.offsets[i];
+    if (!frame_held(protocol, static_cast<graph::NodeId>(p)) ||
+        sh.prev_offsets[i + 1] - sh.prev_offsets[i] != len) {
+      return false;
+    }
     if (!sh.rows_in_place || (row_unchanged_[p] & kRowBitsEqual) == 0) {
       sh.headers[i] = sh.prev_headers[i];
-      std::copy_n(sh.prev_pool.data() + sh.prev_offsets[i],
-                  sh.offsets[i + 1] - sh.offsets[i],
+      std::copy_n(sh.prev_pool.data() + sh.prev_offsets[i], len,
                   sh.pool.data() + sh.offsets[i]);
     }
     row_unchanged_[p] = kRowIdsEqual | kRowBitsEqual;
