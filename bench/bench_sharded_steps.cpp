@@ -185,13 +185,15 @@ std::size_t steps_for(std::size_t n) {
 /// Alongside each steady rate, the work counts that explain it, over
 /// the timed steady steps: receivers that took the node-level
 /// redelivery, sweeps skipped, and frame rows reused — each nodes ×
-/// steps once the whole field holds.
+/// steps once the whole field holds — and shards that skipped the step
+/// outright, shards × steps once it does.
 struct RegimeSps {
   double active = 0.0;
   double steady = 0.0;
   std::uint64_t steady_node_redeliveries = 0;
   std::uint64_t steady_sweeps_skipped = 0;
   std::uint64_t steady_rows_reused = 0;
+  std::uint64_t steady_shards_skipped = 0;
 };
 
 template <typename Network>
@@ -202,10 +204,12 @@ RegimeSps time_regimes(Network& network, std::size_t steps) {
   const std::uint64_t node0 = network.node_redeliveries();
   const std::uint64_t skip0 = network.sweeps_skipped();
   const std::uint64_t reuse0 = network.rows_reused();
+  const std::uint64_t shard0 = network.shards_skipped();
   out.steady = time_steps(network, 0, steps);
   out.steady_node_redeliveries = network.node_redeliveries() - node0;
   out.steady_sweeps_skipped = network.sweeps_skipped() - skip0;
   out.steady_rows_reused = network.rows_reused() - reuse0;
+  out.steady_shards_skipped = network.shards_skipped() - shard0;
   return out;
 }
 
@@ -301,6 +305,10 @@ int main() {
              static_cast<double>(flat.steady_rows_reused));
     json.add("poisson/sharded-rows-reused", nodes, threads, "count",
              static_cast<double>(shard.steady_rows_reused));
+    json.add("poisson/unsharded-shards-skipped", nodes, 1, "count",
+             static_cast<double>(flat.steady_shards_skipped));
+    json.add("poisson/sharded-shards-skipped", nodes, threads, "count",
+             static_cast<double>(shard.steady_shards_skipped));
   }
 
   table.note("both rows step the identical protocol state on the "
@@ -315,7 +323,8 @@ int main() {
              "steady steps, the receivers that took the node-level "
              "redelivery, the sweeps skipped and the frame rows reused "
              "(each n per step at a full hold; identical at any shard "
-             "count)");
+             "count), and the shards that skipped the step outright (S "
+             "per step at a full hold)");
   table.note("single-worker machines measure the sharding overhead "
              "(mailboxes + per-shard arenas); the parallel win needs "
              "SSMWN_THREADS > 1");

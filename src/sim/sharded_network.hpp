@@ -30,28 +30,42 @@
 // is the message a process boundary would send.
 //
 // Threads. Shards and threads are independent. Per-node phases (frame
-// build, row grading and delta extraction, delivery, tick, end_step)
-// map over node ranges clipped to shard bounds — one range per shard
-// when S >= threads, pool-sized sub-ranges otherwise — and write only
-// the state of the node they are indexed by. Per-shard serial work
-// (offset and delta prefix sums, the mailbox flush, the boundary
-// rebuild, activity propagation into a shard's tracker) runs one task
-// per shard.
+// build, row grading and delta extraction, and the fused
+// receive → sweep → age pass) map over node ranges clipped to shard
+// bounds — one range per shard when S >= threads, pool-sized sub-ranges
+// otherwise — and write only the state of the node they are indexed
+// by. Per-shard serial work (offset and delta prefix sums, the mailbox
+// flush, the boundary rebuild, activity propagation into a shard's
+// tracker) runs one task per shard.
+//
+// Held shards. In full stepping a shard whose closed shard-neighborhood
+// is held — row hints valid on a loss-free medium, every node of the
+// shard and of every adjacent shard frame_held — skips the step
+// outright: its step is provably the identity (plan_shard_skips), so it
+// books the counters that step would have booked and does no per-node
+// protocol call, arena or mailbox work. A step in which every shard
+// skips never enters the pool; at a full hold a step costs one byte
+// scan over the hold flags.
 //
 // Determinism argument (the property the differential tests assert
-// against the reference oracle in tests/support): every step runs the
-// phase sequence build frames, decide losses, deliver, tick, end-step,
-// with a barrier between phases. Within a phase each node is processed
-// exactly once with inputs fixed at the barrier, and each receiver
-// pulls its heard frames in ascending-sender order (its sorted CSR
-// row). Mailboxes are filled in a fixed (src-shard, dst-shard,
-// admission) order — admission order is ascending sender id, because
-// shard sweeps walk their range in order — and drained by binary
-// search per edge, so *which* bytes a receiver sees never depends on
-// shard count or thread count. Stateful loss models are polled in one
-// serial sender-major pass, so their RNG draw sequence is fixed too.
-// Per-range tallies are summed, so every counter is identical at any
-// shard/thread count, full or dirty stepping (docs/ARCHITECTURE.md §8).
+// against the reference oracle in tests/support): every full step runs
+// the phase sequence build frames, decide losses, then one fused
+// receive → sweep → age pass per receiver, with a barrier between
+// phases. Receive, sweep and age of a receiver touch only that
+// receiver's state and read only rows fixed at the build barrier, so
+// fusing them computes what three barrier-separated passes would.
+// Within a phase each node is processed exactly once with inputs fixed
+// at the barrier, and each receiver pulls its heard frames in
+// ascending-sender order (its sorted CSR row). Mailboxes are filled in
+// a fixed (src-shard, dst-shard, admission) order — admission order is
+// ascending sender id, because shard sweeps walk their range in order —
+// and drained by binary search per edge, so *which* bytes a receiver
+// sees never depends on shard count or thread count. Stateful loss
+// models are polled in one serial sender-major pass, so their RNG draw
+// sequence is fixed too. Per-range tallies are summed and the skip
+// plan's booked serially, so every counter is identical at any thread
+// count and — shards_skipped() aside — at any shard count, full or
+// dirty stepping (docs/ARCHITECTURE.md §8).
 //
 // Dirty-region composition: each shard's tracker wakes and drains
 // locally; a wake that crosses a shard boundary rides a wake-mailbox
@@ -293,6 +307,17 @@ class ShardedNetwork {
     return rows_reused_;
   }
 
+  /// Shard steps the full stepper skipped outright because the shard and
+  /// every shard adjacent to it were held (every node frame_held; see
+  /// plan_shard_skips) across all steps so far — S per step at a full
+  /// hold. A skipped shard still counts its owned nodes into
+  /// node_redeliveries(), sweeps_skipped() and rows_reused(), so those
+  /// read as if it had stepped. Decided serially from protocol state
+  /// alone, so identical for any thread count.
+  [[nodiscard]] std::uint64_t shards_skipped() const noexcept {
+    return shards_skipped_;
+  }
+
   /// Notifies the engine that the observed graph was just patched with
   /// `delta` (dynamic-topology runs; the owner mutates the graph via
   /// graph::DynamicGraph, then calls this). Topology-aware protocols
@@ -300,8 +325,10 @@ class ShardedNetwork {
   /// rather than by aging; the boundary-sender lists go stale (a
   /// patched edge may create or destroy a boundary crossing); dirty
   /// mode wakes the closed neighborhoods of both endpoints of every
-  /// patched edge. Call between steps.
+  /// patched edge. An empty delta changed nothing and is a no-op. Call
+  /// between steps.
   void apply_topology_delta(const graph::EdgeDelta& delta) {
+    if (delta.empty()) return;
     invalidate_row_hints();
     if constexpr (TopologyAwareProtocol<Protocol>) {
       for (const auto& [a, b] : delta.removed) {
@@ -389,12 +416,21 @@ class ShardedNetwork {
     std::vector<std::uint32_t> delta_counts;
     std::uint64_t delta_rows = 0;
     // Phase 1a's verdict: this step's offsets equal those of the rows
-    // this buffer already holds (built two steps ago).
+    // this buffer already holds (built in the shard's last real step but
+    // one).
     bool rows_in_place = false;
+    // Phase 0 (full stepping): every owned node is frame_held; this
+    // shard skips the step.
+    bool held = false;
+    bool skip = false;
     // Full stepping: for each destination shard, the owned nodes with at
     // least one neighbor there (ascending). Rebuilt after topology
-    // changes; copied into the frame mailboxes every step.
+    // changes; copied into the frame mailboxes by every step the shard
+    // does not skip.
     std::vector<std::vector<graph::NodeId>> boundary_out;
+    // The shards with a non-empty boundary list — by symmetry of the
+    // graph, exactly the shards whose rows this shard's receivers hear.
+    std::vector<std::size_t> adjacent;
     // Dirty stepping (all indices local unless noted).
     ActivityTracker tracker;
     std::vector<std::uint8_t> sender_mark;
@@ -544,27 +580,23 @@ class ShardedNetwork {
           }
         }
       }
+      sh.adjacent.clear();
+      for (std::size_t t = 0; t < sh.boundary_out.size(); ++t) {
+        if (!sh.boundary_out[t].empty()) sh.adjacent.push_back(t);
+      }
     });
   }
 
-  void step_full() {
-    const graph::Graph& g = *graph_;
-    const std::size_t n = g.node_count();
-    const std::size_t S = shard_count();
-    auto* protocol = protocol_;
-    if (boundaries_stale_) rebuild_boundaries();
-    const auto owned = [this](std::size_t s) {
-      return shards_[s].end - shards_[s].begin;
-    };
+  /// Whether the full stepper may skip held work: node-level holds
+  /// (NodeRedeliveryProtocol) plus maybe_tick (QuiescentProtocol).
+  /// Perfbench's TracedProtocol, for one, forwards neither hold query.
+  static constexpr bool kHoldAware =
+      NodeRedeliveryProtocol<Protocol> && QuiescentProtocol<Protocol>;
 
-    // Phase 1 (by source shard, per-node work by range): snapshot all
-    // owned frames into the shard arena, then flush every boundary
-    // frame into the (src, dst) mailboxes — fixed admission order
-    // because the boundary lists are ascending. Redelivery protocols
-    // double-buffer the arena: last step's rows move to prev_* before
-    // the build, then each fresh row is bit-compared against its
-    // predecessor so phase 3 can skip the full delivery of provably
-    // unchanged frames.
+  void step_full() {
+    const std::size_t n = graph_->node_count();
+    if (boundaries_stale_) rebuild_boundaries();
+    const bool hear_all = loss_->always_delivers();
     if constexpr (RedeliveryProtocol<Protocol>) {
       row_unchanged_.resize(n);
       // One arena build per step, stamped serially. The delta rows this
@@ -576,13 +608,113 @@ class ShardedNetwork {
       delta_base_generation_ =
           prev_rows_built_ ? generation_ - 1 : kNoGeneration;
     }
+    // Phase 0 picks the shards that skip; a step in which every shard
+    // skips never enters the pool.
+    const bool any_stepping = plan_shard_skips(hear_all);
+    if (any_stepping) build_rows();
+    poll_losses(hear_all);
+    if (any_stepping) receive_sweep_age(hear_all);
+
+    if constexpr (RedeliveryProtocol<Protocol>) {
+      // Serial fold of the per-shard delta tallies (shard order), so the
+      // aggregate is identical for any thread count.
+      for (const Shard& sh : shards_) delta_rows_graded_ += sh.delta_rows;
+      prev_rows_built_ = true;
+      // Hints are trustworthy next step only if *this* step delivered
+      // every row to every listener (loss would leave some caches
+      // behind the rows the compare runs against).
+      row_hints_valid_ = hear_all;
+    }
+  }
+
+  /// Phase 0 (serial): marks the shards whose step is provably the
+  /// identity. Shard t skips when row hints are valid on a loss-free
+  /// medium, every node t owns is frame_held, and so is every node of
+  /// every shard adjacent to t. Then every row t's receivers hear is
+  /// reused (bit-equal), each receiver would be offered whole and
+  /// accept, skip its sweep (its last one was a fixpoint) and have its
+  /// end_step turn kFrameHeld back into kFrameHeld — ages included,
+  /// nothing about the shard changes (skip_shard). The scan reads two
+  /// bytes per node, stops at a shard's first node not held, and sees
+  /// every mutation made between steps because each one clears
+  /// frame_held. Returns whether any shard steps.
+  bool plan_shard_skips(bool hear_all) {
+    const bool armed = kHoldAware && row_hints_valid_ && hear_all;
+    for (Shard& sh : shards_) sh.held = armed && owned_frames_held(sh);
+    bool any_stepping = false;
+    for (Shard& sh : shards_) {
+      sh.skip = sh.held &&
+                std::all_of(sh.adjacent.begin(), sh.adjacent.end(),
+                            [this](std::size_t s) { return shards_[s].held; });
+      if (sh.skip) {
+        skip_shard(sh);
+      } else {
+        any_stepping = true;
+      }
+    }
+    return any_stepping;
+  }
+
+  [[nodiscard]] bool owned_frames_held(const Shard& sh) const {
+    for (std::size_t p = sh.begin; p < sh.end; ++p) {
+      if (!frame_held(*protocol_, static_cast<graph::NodeId>(p))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Books a skipped shard's step: the counters its identity step would
+  /// have added (every receiver node-level, every sweep skipped, every
+  /// row reused, no delta row). Nothing else is written, and nothing
+  /// else needs to be. The live buffer already holds this step's rows,
+  /// and the boundary rows already sit in the mailboxes. The grades the
+  /// shard's last real step wrote already read bit-equal for every row
+  /// anyone hears: when the shard first skips, each listener of its
+  /// rows (in the shard or an adjacent one) is frame_held, so it
+  /// accepted a node-level offer in the step before — the shard's last
+  /// real step — and an offer needs every heard row bit-equal; while
+  /// the shard keeps skipping, nothing rewrites those grades. Such a
+  /// row is in both buffers, so the next real step may reuse it in
+  /// place. A row nobody hears (an isolated sender) may differ between
+  /// the buffers; then its stale grade is not bit-equal, and reuse_row
+  /// copies it. Grading the skipped rows bit-equal, as a real held step
+  /// would, would erase that guard.
+  void skip_shard(Shard& sh) {
+    const std::size_t owned = sh.end - sh.begin;
+    node_redeliveries_ += owned;
+    sweeps_skipped_ += owned;
+    rows_reused_ += owned;
+    ++shards_skipped_;
+    sh.delta_rows = 0;
+  }
+
+  /// Owned nodes of shard `s` that step this step (0 for a skipped
+  /// shard) — the index space of every per-node full-stepping phase.
+  [[nodiscard]] std::size_t stepping_count(std::size_t s) const noexcept {
+    const Shard& sh = shards_[s];
+    return sh.skip ? 0 : sh.end - sh.begin;
+  }
+
+  /// Phase 1 (by source shard, per-node work by range; stepping shards
+  /// only): snapshot all owned frames into the shard arena, then flush
+  /// every boundary frame into the (src, dst) mailboxes — fixed
+  /// admission order because the boundary lists are ascending.
+  /// Redelivery protocols double-buffer the arena: last step's rows move
+  /// to prev_* before the build, then each fresh row is bit-compared
+  /// against its predecessor so phase 3 can skip the full delivery of
+  /// provably unchanged frames.
+  void build_rows() {
+    auto* protocol = protocol_;
+    const auto stepping = [this](std::size_t s) { return stepping_count(s); };
     // 1a (per shard, serial): swap the double buffer, size the arena.
     // Row i of the pool is [offsets[i], offsets[i+1]), mirroring the
     // CSR layout of the graph. The swapped-in buffer still holds the
-    // rows built two steps ago; when every offset comes out as it was,
-    // those rows are still in place (reuse_row).
+    // rows of the shard's last real step but one; when every offset
+    // comes out as it was, those rows are still in place (reuse_row).
     for_shards([this, protocol](std::size_t s) {
       Shard& sh = shards_[s];
+      if (sh.skip) return;
       const std::size_t local_n = sh.end - sh.begin;
       if constexpr (RedeliveryProtocol<Protocol>) {
         std::swap(sh.headers, sh.prev_headers);
@@ -616,8 +748,8 @@ class ShardedNetwork {
     // step's, copied, and grades bit-equal by construction. Each range
     // writes only its own slice of the global grade bitmap.
     std::atomic<std::uint64_t> rows_reused{0};
-    for_shard_ranges(owned, [&, protocol](std::size_t s, std::size_t lo,
-                                          std::size_t hi) {
+    for_shard_ranges(stepping, [&, protocol](std::size_t s, std::size_t lo,
+                                             std::size_t hi) {
       Shard& sh = shards_[s];
       [[maybe_unused]] bool cmp = false;
       if constexpr (RedeliveryProtocol<Protocol>) {
@@ -648,6 +780,7 @@ class ShardedNetwork {
       // through a recovery window that must stay allocation-free.
       for_shards([this](std::size_t s) {
         Shard& sh = shards_[s];
+        if (sh.skip) return;
         const std::size_t local_n = sh.end - sh.begin;
         sh.delta_offsets.resize(local_n + 1);
         sh.delta_offsets[0] = 0;
@@ -664,10 +797,12 @@ class ShardedNetwork {
       // pass, but only over delta-graded rows, and shared by every
       // listener of each sender.
       bool any_delta = false;
-      for (const Shard& sh : shards_) any_delta |= !sh.delta_pool.empty();
+      for (const Shard& sh : shards_) {
+        any_delta |= !sh.skip && !sh.delta_pool.empty();
+      }
       if (any_delta) {
-        for_shard_ranges(owned, [this](std::size_t s, std::size_t lo,
-                                       std::size_t hi) {
+        for_shard_ranges(stepping, [this](std::size_t s, std::size_t lo,
+                                          std::size_t hi) {
           Shard& sh = shards_[s];
           for (std::size_t i = lo; i < hi; ++i) {
             if (sh.delta_counts[i] == 0) continue;
@@ -682,43 +817,69 @@ class ShardedNetwork {
         });
       }
     }
-    // 1e (per shard, serial): the mailbox flush.
-    for_shards([this](std::size_t s) { flush_boundary_frames(s); });
+    // 1e (per shard, serial): the mailbox flush. A skipped shard's rows
+    // equal the ones it last flushed, so its mailboxes stay as they are.
+    for_shards([this](std::size_t s) {
+      if (!shards_[s].skip) flush_boundary_frames(s);
+    });
+  }
 
-    // Phase 2 (serial unless τ = 1): per-edge delivery decisions, polled
-    // sender-major so stateful loss models draw the exact same RNG
-    // sequence at any shard/thread count, stored at the receiver's
-    // incoming CSR slot via the mirror index.
+  /// Phase 2 (serial unless τ = 1): per-edge delivery decisions, polled
+  /// sender-major so stateful loss models draw the exact same RNG
+  /// sequence at any shard/thread count, stored at the receiver's
+  /// incoming CSR slot via the mirror index. A lossy step skips no
+  /// shard, so the poll always covers every edge.
+  void poll_losses(bool hear_all) {
+    const graph::Graph& g = *graph_;
     const auto offsets = g.csr_offsets();
     const auto flat = g.csr_neighbors();
-    const bool hear_all = loss_->always_delivers();
-    if (!hear_all) {
-      incoming_.resize(flat.size());
-      for (std::size_t p = 0; p < n; ++p) {
-        for (std::size_t e = offsets[p]; e < offsets[p + 1]; ++e) {
-          const bool heard =
-              loss_->delivered(static_cast<graph::NodeId>(p), flat[e]);
-          incoming_[g.mirror_edge(e)] = heard;
-          messages_delivered_ += heard;
-        }
-      }
-    } else {
+    if (hear_all) {
       messages_delivered_ += flat.size();
+      return;
     }
+    incoming_.resize(flat.size());
+    for (std::size_t p = 0; p < g.node_count(); ++p) {
+      for (std::size_t e = offsets[p]; e < offsets[p + 1]; ++e) {
+        const bool heard =
+            loss_->delivered(static_cast<graph::NodeId>(p), flat[e]);
+        incoming_[g.mirror_edge(e)] = heard;
+        messages_delivered_ += heard;
+      }
+    }
+  }
 
-    // Phase 3 (by range of receivers): each receiver pulls its heard
-    // frames in ascending-sender order — local senders from the shard
-    // arena, remote senders from the (src, dst) mailbox. With valid row
-    // hints (previous step built rows AND was loss-free, so every
-    // listener consumed exactly those rows), an unchanged sender's
-    // delivery collapses to the protocol's fast paths, attempted
-    // strongest first: bit-equal rows to an age reset, delta-applicable
-    // rows to an in-place patch of the changed digests, rows with a
-    // held id sequence to a straight payload overwrite. Every skip is
-    // bit-identical by induction on the rows a receiver has consumed;
-    // the protocol declines them all for receivers whose cache was
-    // externally mutated since the last sweep, falling through to the
-    // next-fuller path.
+  /// Phase 3 (by range of receivers; stepping shards only): one fused
+  /// pass per receiver — receive, sweep, age. Receive, sweep and age of
+  /// a receiver touch only its own state and read only the rows fixed
+  /// in phase 1, so running them back to back per receiver computes
+  /// what three barrier-separated passes would.
+  ///
+  /// Receive: the receiver pulls its heard frames in ascending-sender
+  /// order — local senders from the shard arena, remote senders from the
+  /// (src, dst) mailbox. With valid row hints (previous step built rows
+  /// AND was loss-free, so every listener consumed exactly those rows),
+  /// an unchanged sender's delivery collapses to the protocol's fast
+  /// paths, attempted strongest first: bit-equal rows to an age reset,
+  /// delta-applicable rows to an in-place patch of the changed digests,
+  /// rows with a held id sequence to a straight payload overwrite. Every
+  /// skip is bit-identical by induction on the rows a receiver has
+  /// consumed; the protocol declines them all for receivers whose cache
+  /// was externally mutated since the last sweep, falling through to the
+  /// next-fuller path. A receiver whose every heard row is bit-equal is
+  /// first offered whole (NodeRedeliveryProtocol): when the protocol
+  /// accepts, its per-edge age resets and its aging are skipped
+  /// together.
+  ///
+  /// Sweep and age: guarded rules, then cache aging. Hold-aware
+  /// protocols sweep through maybe_tick, which skips a node-level
+  /// accepted receiver's sweep when its previous one was a fixpoint
+  /// (scheduler.hpp).
+  void receive_sweep_age(bool hear_all) {
+    const graph::Graph& g = *graph_;
+    const std::size_t S = shard_count();
+    auto* protocol = protocol_;
+    const auto offsets = g.csr_offsets();
+    const auto flat = g.csr_neighbors();
     const bool hints = row_hints_valid_ && hear_all;
     // Delta patches additionally require the delta rows' base-generation
     // tag to name the arena build every listener consumed; when it
@@ -731,79 +892,50 @@ class ShardedNetwork {
       gmask = deltas_ok ? static_cast<unsigned char>(0xFF)
                         : static_cast<unsigned char>(~kRowDeltaApplicable);
     }
-    // A receiver whose every heard row is bit-equal is first offered
-    // whole (NodeRedeliveryProtocol): when the protocol accepts, its
-    // per-edge age resets and its end_step are skipped together.
     std::atomic<std::uint64_t> node_redeliveries{0};
-    for_shard_ranges(owned, [&, protocol, offsets, flat, hear_all, hints,
-                             gmask, S](std::size_t t, std::size_t lo,
-                                       std::size_t hi) {
+    std::atomic<std::uint64_t> sweeps_skipped{0};
+    const auto stepping = [this](std::size_t s) { return stepping_count(s); };
+    for_shard_ranges(stepping, [&, protocol, offsets, flat, hear_all, hints,
+                                gmask, S](std::size_t t, std::size_t lo,
+                                          std::size_t hi) {
       Shard& sh = shards_[t];
       std::uint64_t taken = 0;
+      std::uint64_t skipped = 0;
       for (std::size_t q = sh.begin + lo; q < sh.begin + hi; ++q) {
+        const auto node = static_cast<graph::NodeId>(q);
         if (hints && offer_node_redelivery(
-                         *protocol, static_cast<graph::NodeId>(q),
+                         *protocol, node,
                          flat.subspan(offsets[q], offsets[q + 1] - offsets[q]),
                          row_unchanged_.data())) {
           ++taken;
-          continue;
-        }
-        for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e) {
-          if (!hear_all && !incoming_[e]) continue;
-          const graph::NodeId p = flat[e];
-          const unsigned char grade =
-              hints ? static_cast<unsigned char>(row_unchanged_[p] & gmask)
-                    : static_cast<unsigned char>(0);
-          if (p >= sh.begin && p < sh.end) {
-            deliver_row(*protocol, static_cast<graph::NodeId>(q), sh,
-                        static_cast<std::size_t>(p) - sh.begin, grade);
-          } else {
-            deliver_from(*protocol, static_cast<graph::NodeId>(q),
-                         frame_mb_[shard_of(p) * S + t], p, grade);
+        } else {
+          for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e) {
+            if (!hear_all && !incoming_[e]) continue;
+            const graph::NodeId p = flat[e];
+            const unsigned char grade =
+                hints ? static_cast<unsigned char>(row_unchanged_[p] & gmask)
+                      : static_cast<unsigned char>(0);
+            if (p >= sh.begin && p < sh.end) {
+              deliver_row(*protocol, node, sh,
+                          static_cast<std::size_t>(p) - sh.begin, grade);
+            } else {
+              deliver_from(*protocol, node, frame_mb_[shard_of(p) * S + t], p,
+                           grade);
+            }
           }
         }
+        if constexpr (kHoldAware) {
+          skipped += !protocol->maybe_tick(node);
+        } else {
+          protocol->tick(node);
+        }
+        protocol->end_step(node);
       }
       node_redeliveries.fetch_add(taken, std::memory_order_relaxed);
-    });
-    node_redeliveries_ += node_redeliveries.load(std::memory_order_relaxed);
-
-    // Phases 4 + 5 (by range): guarded rules, then cache aging. With
-    // node-level redelivery and the quiescence extension, sweeps go
-    // through maybe_tick, which skips a node-level-accepted receiver's
-    // sweep when its previous one was a fixpoint (scheduler.hpp).
-    std::atomic<std::uint64_t> sweeps_skipped{0};
-    for_shard_ranges(owned, [&, protocol](std::size_t s, std::size_t lo,
-                                          std::size_t hi) {
-      std::uint64_t skipped = 0;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const auto p = static_cast<graph::NodeId>(shards_[s].begin + i);
-        if constexpr (NodeRedeliveryProtocol<Protocol> &&
-                      QuiescentProtocol<Protocol>) {
-          skipped += !protocol->maybe_tick(p);
-        } else {
-          protocol->tick(p);
-        }
-      }
       sweeps_skipped.fetch_add(skipped, std::memory_order_relaxed);
     });
+    node_redeliveries_ += node_redeliveries.load(std::memory_order_relaxed);
     sweeps_skipped_ += sweeps_skipped.load(std::memory_order_relaxed);
-    for_shard_ranges(owned, [this, protocol](std::size_t s, std::size_t lo,
-                                             std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        protocol->end_step(static_cast<graph::NodeId>(shards_[s].begin + i));
-      }
-    });
-
-    if constexpr (RedeliveryProtocol<Protocol>) {
-      // Serial fold of the per-shard delta tallies (shard order), so the
-      // aggregate is identical for any thread count.
-      for (const Shard& sh : shards_) delta_rows_graded_ += sh.delta_rows;
-      prev_rows_built_ = true;
-      // Hints are trustworthy next step only if *this* step delivered
-      // every row to every listener (loss would leave some caches
-      // behind the rows the compare runs against).
-      row_hints_valid_ = hear_all;
-    }
   }
 
   /// NodeRedeliveryProtocol::frame_held, or false for protocols without
@@ -821,9 +953,10 @@ class ShardedNetwork {
   /// length: the row make_frame would write is then bit-identical to
   /// last step's, so it grades kRowIdsEqual | kRowBitsEqual. The bytes
   /// are copied from prev_* unless they are already here: the row
-  /// graded bit-equal last step (so both buffers hold it) and no offset
-  /// of the shard moved. Callers first check that last step's rows
-  /// exist. Returns whether the row was reused.
+  /// graded bit-equal in the shard's last real step (so both buffers
+  /// hold it; a skipped step grades nothing, see skip_shard) and no
+  /// offset of the shard moved. Callers first check that last step's
+  /// rows exist. Returns whether the row was reused.
   bool reuse_row(const Protocol& protocol, Shard& sh, std::size_t i) {
     const std::size_t p = sh.begin + i;
     const std::size_t len = sh.offsets[i + 1] - sh.offsets[i];
@@ -1171,6 +1304,7 @@ class ShardedNetwork {
   std::uint64_t node_redeliveries_ = 0;
   std::uint64_t sweeps_skipped_ = 0;
   std::uint64_t rows_reused_ = 0;
+  std::uint64_t shards_skipped_ = 0;
   bool prev_rows_built_ = false;
   bool row_hints_valid_ = false;
   ActivityTracker stats_;                // aggregate counters only

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 namespace ssmwn::util {
@@ -74,6 +75,8 @@ bool same_series(const BenchRecord& a, const BenchRecord& b) {
 bool is_rate_metric(std::string_view metric) {
   return metric.find("/s") != std::string_view::npos;
 }
+
+bool is_count_metric(std::string_view metric) { return metric == "count"; }
 
 bool parse_bench_json(std::string_view text, std::vector<BenchRecord>& out,
                       std::string& error) {
@@ -152,7 +155,10 @@ std::size_t BenchCompareReport::regressions() const {
 
 std::size_t BenchCompareReport::integrity_failures(bool allow_missing) const {
   std::size_t count = non_finite.size();
-  if (!allow_missing) count += missing_rates.size() + extra_rates.size();
+  if (!allow_missing) {
+    count += missing_rates.size() + extra_rates.size() +
+             missing_counts.size() + extra_counts.size();
+  }
   return count;
 }
 
@@ -165,26 +171,33 @@ BenchCompareReport compare_benchmarks(
     const auto match =
         std::find_if(candidate.begin(), candidate.end(),
                      [&](const BenchRecord& c) { return same_series(c, base); });
+    const bool rate = is_rate_metric(base.metric);
+    const bool count = is_count_metric(base.metric);
     if (match == candidate.end()) {
       report.unmatched.push_back(base);
-      if (is_rate_metric(base.metric)) report.missing_rates.push_back(base);
+      if (rate) report.missing_rates.push_back(base);
+      if (count) report.missing_counts.push_back(base);
       continue;
     }
     BenchComparison cmp;
     cmp.baseline = base;
     cmp.candidate_value = match->value;
     cmp.ratio = base.value != 0.0 ? match->value / base.value : 1.0;
-    cmp.gated = is_rate_metric(base.metric) && base.value > 0.0;
-    cmp.regression = cmp.gated && cmp.ratio < 1.0 - tolerance;
+    cmp.gated = (rate && base.value > 0.0) || count;
+    cmp.regression = count ? match->value != base.value
+                           : cmp.gated && cmp.ratio < 1.0 - tolerance;
     report.compared.push_back(std::move(cmp));
   }
   for (const BenchRecord& cand : candidate) {
     if (!std::isfinite(cand.value)) report.non_finite.push_back(cand);
-    if (!is_rate_metric(cand.metric)) continue;
+    const bool rate = is_rate_metric(cand.metric);
+    const bool count = is_count_metric(cand.metric);
+    if (!rate && !count) continue;
     const auto match =
         std::find_if(baseline.begin(), baseline.end(),
                      [&](const BenchRecord& b) { return same_series(b, cand); });
-    if (match == baseline.end()) report.extra_rates.push_back(cand);
+    if (match != baseline.end()) continue;
+    (rate ? report.extra_rates : report.extra_counts).push_back(cand);
   }
   return report;
 }
@@ -200,6 +213,14 @@ std::string render_comparison(const BenchCompareReport& report,
     return out;
   };
   for (const auto& c : report.compared) {
+    if (is_count_metric(c.baseline.metric)) {
+      // Counts are exact: print every digit.
+      out << (c.regression ? "  MISMATCH   " : "  ok         ");
+      series(c.baseline) << ": " << std::setprecision(17) << c.baseline.value
+                         << " -> " << c.candidate_value
+                         << std::setprecision(6) << " (exact)\n";
+      continue;
+    }
     out << (c.regression ? "  REGRESSION " : (c.gated ? "  ok         "
                                                       : "  (info)     "));
     series(c.baseline) << ": " << c.baseline.value << " -> "
@@ -207,22 +228,28 @@ std::string render_comparison(const BenchCompareReport& report,
                        << "%)\n";
   }
   for (const auto& b : report.unmatched) {
-    const bool rate = is_rate_metric(b.metric);
-    out << (rate ? (allow_missing ? "  missing-ok " : "  MISSING    ")
-                 : "  (info)     ");
+    const bool gated = is_rate_metric(b.metric) || is_count_metric(b.metric);
+    out << (gated ? (allow_missing ? "  missing-ok " : "  MISSING    ")
+                  : "  (info)     ");
     series(b) << ": no candidate record"
-              << (rate ? (allow_missing ? " (allowed by --allow-missing)"
-                                        : " — gated series vanished")
-                       : " (warn only)")
+              << (gated ? (allow_missing ? " (allowed by --allow-missing)"
+                                         : " — gated series vanished")
+                        : " (warn only)")
               << "\n";
   }
-  for (const auto& b : report.extra_rates) {
-    out << (allow_missing ? "  extra-ok   " : "  EXTRA      ");
-    series(b) << ": candidate rate series has no baseline"
-              << (allow_missing ? " (allowed by --allow-missing)"
-                                : " — commit a baseline or drop the series")
-              << "\n";
-  }
+  const auto extra = [&](const std::vector<BenchRecord>& records,
+                         const char* kind) {
+    for (const auto& b : records) {
+      out << (allow_missing ? "  extra-ok   " : "  EXTRA      ");
+      series(b) << ": candidate " << kind << " series has no baseline"
+                << (allow_missing
+                        ? " (allowed by --allow-missing)"
+                        : " — commit a baseline or drop the series")
+                << "\n";
+    }
+  };
+  extra(report.extra_rates, "rate");
+  extra(report.extra_counts, "count");
   for (const auto& b : report.non_finite) {
     out << "  NON-FINITE ";
     series(b) << ": value " << b.value << " is not a number\n";
@@ -233,11 +260,11 @@ std::string render_comparison(const BenchCompareReport& report,
     out << "FAIL: " << broken << " integrity failure(s) — the gate cannot "
         << "trust its inputs\n";
   } else if (bad > 0) {
-    out << "FAIL: " << bad << " gated metric(s) regressed beyond "
-        << tolerance * 100.0 << "%\n";
+    out << "FAIL: " << bad << " gated metric(s) regressed (rates beyond "
+        << tolerance * 100.0 << "%, counts at all)\n";
   } else {
-    out << "PASS: no gated metric regressed beyond " << tolerance * 100.0
-        << "%\n";
+    out << "PASS: no rate regressed beyond " << tolerance * 100.0
+        << "% and every count matched\n";
   }
   return out.str();
 }

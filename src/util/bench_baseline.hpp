@@ -6,8 +6,10 @@
 // CI reruns the smoke benches and feeds both directories through
 // compare_benchmarks, which fails the build when any *rate* metric
 // (anything containing "/s": ticks/s, steps/s, updates/s) regressed by
-// more than the tolerance. Non-rate metrics (counts, seconds, ratios)
-// are cross-machine-noisy or not perf at all and are reported but never
+// more than the tolerance, or when any *count* metric (metric "count":
+// deterministic work counters such as rows reused or shards skipped)
+// differs from its baseline at all. Other metrics (seconds, ratios) are
+// cross-machine-noisy or not perf at all and are reported but never
 // gated. The parser handles exactly the shape JsonReport writes — no
 // external JSON dependency.
 #pragma once
@@ -35,6 +37,10 @@ struct BenchRecord {
 /// A rate metric — higher is better, eligible for gating.
 [[nodiscard]] bool is_rate_metric(std::string_view metric);
 
+/// A count metric ("count") — a deterministic work counter of a seeded
+/// run, the same on every machine, so gated for exact equality.
+[[nodiscard]] bool is_count_metric(std::string_view metric);
+
 /// Parses one JsonReport-shaped document. Returns false (and sets
 /// `error`) on malformed input; on success appends to `out`.
 bool parse_bench_json(std::string_view text, std::vector<BenchRecord>& out,
@@ -49,8 +55,8 @@ struct BenchComparison {
   double candidate_value = 0.0;
   /// candidate / baseline; for rate metrics < 1 means slower.
   double ratio = 1.0;
-  bool gated = false;       // rate metric, eligible to fail the build
-  bool regression = false;  // gated and ratio < 1 - tolerance
+  bool gated = false;       // rate or count metric, eligible to fail
+  bool regression = false;  // rate: ratio < 1 - tolerance; count: differs
 };
 
 struct BenchCompareReport {
@@ -69,6 +75,11 @@ struct BenchCompareReport {
   /// was never committed). Integrity failure unless allowed — a capped
   /// smoke run may also measure points the full-scale baseline lacks.
   std::vector<BenchRecord> extra_rates;
+  /// Count series in the baseline with no candidate record, and in the
+  /// candidate with no baseline record: the same integrity failures as
+  /// their rate counterparts, under the same `allow_missing` policy.
+  std::vector<BenchRecord> missing_counts;
+  std::vector<BenchRecord> extra_counts;
   /// Records (either side) whose value is NaN or infinite. Every ratio
   /// comparison against such a value is vacuously false, so a NaN
   /// candidate would sail through the regression gate; always an
@@ -77,14 +88,14 @@ struct BenchCompareReport {
 
   [[nodiscard]] std::size_t regressions() const;
   /// Count of integrity failures under the given policy: `non_finite`
-  /// always counts; `missing_rates` and `extra_rates` only when
-  /// `allow_missing` is false.
+  /// always counts; the missing and extra rate and count series only
+  /// when `allow_missing` is false.
   [[nodiscard]] std::size_t integrity_failures(bool allow_missing) const;
 };
 
 /// Compares candidate against baseline at fractional `tolerance`
-/// (0.10 = a gated metric may be up to 10% slower before it counts as a
-/// regression).
+/// (0.10 = a rate metric may be up to 10% slower before it counts as a
+/// regression; a count metric must match exactly).
 [[nodiscard]] BenchCompareReport compare_benchmarks(
     const std::vector<BenchRecord>& baseline,
     const std::vector<BenchRecord>& candidate, double tolerance);
@@ -97,8 +108,9 @@ struct BenchCompareReport {
                                             bool allow_missing = false);
 
 /// The exit-code policy tools/bench_compare.cpp ships: 0 pass,
-/// 1 regression, 3 integrity failure (missing/extra rate series unless
-/// allowed, non-finite values always). Integrity outranks regression —
+/// 1 regression (a slower rate or a changed count), 3 integrity failure
+/// (missing/extra rate or count series unless allowed, non-finite
+/// values always). Integrity outranks regression —
 /// a gate that cannot trust its inputs must not report a mere slowdown.
 /// (2 is reserved for usage / I/O errors, decided before comparison.)
 [[nodiscard]] int compare_exit_code(const BenchCompareReport& report,

@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "core/protocol.hpp"
+#include "graph/graph.hpp"
 #include "sim/loss.hpp"
 #include "sim/sharded_network.hpp"
 #include "support/engine_lockstep.hpp"
@@ -181,6 +182,24 @@ TEST(HeldStep, SeveredLinkReleasesTheHold) {
     EXPECT_EQ(c.sweeps_skipped, 0u);
     settle(run, n);
     expect_full_hold(run, n, 3);
+  }
+}
+
+/// An empty topology delta changed nothing: the next step is still a
+/// full hold — every receiver node-level, every shard skipped — rather
+/// than a release of every hold and a boundary rebuild.
+TEST(HeldStep, EmptyTopologyDeltaKeepsTheHold) {
+  const World w = make_world();
+  const std::size_t n = w.graph.node_count();
+  for (const auto& config : kEngines) {
+    SCOPED_TRACE(label(config));
+    Lockstep run(w.graph, w.ids, config, 1.0);
+    settle(run, n);
+    expect_full_hold(run, n, 1);
+    run.apply_topology_delta(graph::EdgeDelta{});
+    const StepCounts c = run.step_counts();
+    EXPECT_EQ(c.node_redeliveries, n);
+    EXPECT_EQ(c.shards_skipped, config.shards);
   }
 }
 

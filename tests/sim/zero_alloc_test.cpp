@@ -192,5 +192,38 @@ TEST(ZeroAlloc, PoolDispatchDoesNotTouchTheHeap) {
                         << " times";
 }
 
+// A full hold on a pooled engine: every shard skips the step (its
+// closed shard-neighborhood is held), so the step never enters the pool
+// and touches no arena, mailbox or cache — and no heap either.
+TEST(ZeroAlloc, AllSkippedStepDoesNotTouchTheHeap) {
+  util::Rng rng(2011);
+  const std::size_t n = 300;
+  const auto pts = topology::uniform_points(n, rng);
+  const auto g = topology::unit_disk_graph(pts, 0.09);
+  const auto ids = topology::random_ids(n, rng);
+  core::ProtocolConfig config;
+  config.cluster.use_dag_ids = true;
+  config.cluster.fusion = true;
+  config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
+  core::DensityProtocol protocol(ids, config, util::Rng(4));
+  sim::PerfectDelivery loss;
+  const std::size_t shards = 4;
+  sim::ShardedNetwork network(g, protocol, loss, shards, 4);
+  bool held = false;
+  for (int s = 0; s < 100 && !held; ++s) {
+    const std::uint64_t skipped = network.shards_skipped();
+    network.step();
+    held = network.shards_skipped() - skipped == shards;
+  }
+  ASSERT_TRUE(held) << "the world never reached a full hold";
+  const std::uint64_t skipped_before = network.shards_skipped();
+  const std::size_t before = g_allocations.load();
+  network.run(10);
+  const std::size_t during = g_allocations.load() - before;
+  EXPECT_EQ(during, 0u) << "all-skipped steps allocated " << during
+                        << " times";
+  EXPECT_EQ(network.shards_skipped() - skipped_before, 10 * shards);
+}
+
 }  // namespace
 }  // namespace ssmwn

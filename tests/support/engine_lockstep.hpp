@@ -14,10 +14,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/protocol.hpp"
 #include "graph/graph.hpp"
+#include "graph/partition.hpp"
 #include "sim/loss.hpp"
 #include "sim/sharded_network.hpp"
 #include "support/reference_network.hpp"
@@ -61,6 +63,11 @@ struct StepCounts {
   std::uint64_t node_redeliveries = 0;
   std::uint64_t sweeps_skipped = 0;
   std::uint64_t rows_reused = 0;
+  std::uint64_t shards_skipped = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t delta_rows = 0;
+
+  bool operator==(const StepCounts&) const = default;
 };
 
 /// Both executions observe the same graph object, so a caller that
@@ -72,11 +79,26 @@ class Lockstep {
            EngineConfig config, double tau,
            core::DensityMaintenance maintenance =
                core::DensityMaintenance::kIncremental)
+      : Lockstep(g, ids,
+                 graph::plan_contiguous_shards(g.node_count(), config.shards)
+                     .bounds,
+                 config.threads, sim::make_loss_model(tau, util::Rng(41)),
+                 sim::make_loss_model(tau, util::Rng(41)), maintenance) {}
+
+  /// Explicit shard bounds (e.g. a spatial plan's) and one loss model
+  /// per execution; the two must make identical decisions when polled
+  /// in the same order.
+  Lockstep(const graph::Graph& g, const topology::IdAssignment& ids,
+           std::vector<std::size_t> bounds, unsigned threads,
+           std::unique_ptr<sim::LossModel> loss_fast,
+           std::unique_ptr<sim::LossModel> loss_slow,
+           core::DensityMaintenance maintenance =
+               core::DensityMaintenance::kIncremental)
       : fast_(make_full_protocol(g, ids, 7, maintenance)),
         slow_(make_full_protocol(g, ids, 7, maintenance)),
-        loss_fast_(sim::make_loss_model(tau, util::Rng(41))),
-        loss_slow_(sim::make_loss_model(tau, util::Rng(41))),
-        engine_(g, fast_, *loss_fast_, config.shards, config.threads),
+        loss_fast_(std::move(loss_fast)),
+        loss_slow_(std::move(loss_slow)),
+        engine_(g, fast_, *loss_fast_, std::move(bounds), threads),
         oracle_(g, slow_, *loss_slow_) {}
 
   /// Applies the same external mutation to both protocols.
@@ -100,6 +122,12 @@ class Lockstep {
     oracle_.apply_topology_delta(delta);
   }
 
+  /// Points both executions at another graph (same node count).
+  void set_graph(const graph::Graph& g) {
+    engine_.set_graph(g);
+    oracle_.set_graph(g);
+  }
+
   /// One lockstep step; returns this step's counter deltas. Fails the
   /// test (non-fatally) on any bitwise divergence.
   StepCounts step_counts() {
@@ -114,7 +142,10 @@ class Lockstep {
     const StepCounts after = totals();
     return {after.node_redeliveries - before.node_redeliveries,
             after.sweeps_skipped - before.sweeps_skipped,
-            after.rows_reused - before.rows_reused};
+            after.rows_reused - before.rows_reused,
+            after.shards_skipped - before.shards_skipped,
+            after.messages - before.messages,
+            after.delta_rows - before.delta_rows};
   }
 
   /// One lockstep step; returns this step's node-level redeliveries.
@@ -122,7 +153,8 @@ class Lockstep {
 
   [[nodiscard]] StepCounts totals() const {
     return {engine_.node_redeliveries(), engine_.sweeps_skipped(),
-            engine_.rows_reused()};
+            engine_.rows_reused(), engine_.shards_skipped(),
+            engine_.messages_delivered(), engine_.delta_rows_graded()};
   }
   [[nodiscard]] std::uint64_t node_redeliveries() const {
     return engine_.node_redeliveries();

@@ -201,12 +201,74 @@ TEST(BenchBaseline, SeriesMatchingUsesAllKeyFields) {
   EXPECT_EQ(report.extra_rates[0].threads, 8u);
 }
 
+// Work counters of a seeded run (rows reused, shards skipped, ...) are
+// the same on every machine, so the gate holds them to exact equality:
+// any change, up or down, is a mismatch — it means the engine did
+// different work, which a rate tolerance must not hide.
+constexpr const char* kCountJson = R"({
+  "bench": "sharded_steps",
+  "records": [
+    {"name": "poisson/unsharded-rows-reused", "n": 10096, "threads": 1, "metric": "count", "value": 201502},
+    {"name": "poisson/unsharded", "n": 10096, "threads": 1, "metric": "steps/s", "value": 1920.9}
+  ]
+})";
+
+TEST(BenchBaseline, CountMetricsAreGatedForExactEquality) {
+  const auto baseline = parse(kCountJson);
+  auto same = baseline;
+  same[1].value *= 0.95;  // rate noise inside the tolerance
+  auto report = util::compare_benchmarks(baseline, same, 0.10);
+  EXPECT_EQ(report.regressions(), 0u);
+  EXPECT_TRUE(report.compared[0].gated);
+  EXPECT_EQ(util::compare_exit_code(report, false), 0);
+
+  for (const double delta : {1.0, -1.0, 1000.0}) {
+    auto changed = baseline;
+    changed[0].value += delta;
+    report = util::compare_benchmarks(baseline, changed, 0.10);
+    EXPECT_EQ(report.regressions(), 1u) << "delta " << delta;
+    EXPECT_TRUE(report.compared[0].regression) << "delta " << delta;
+    EXPECT_EQ(util::compare_exit_code(report, true), 1) << "delta " << delta;
+  }
+  // Even a tolerance that waves every rate through leaves counts exact.
+  auto changed = baseline;
+  changed[0].value += 1.0;
+  EXPECT_EQ(util::compare_benchmarks(baseline, changed, 0.99).regressions(),
+            1u);
+  EXPECT_NE(util::render_comparison(
+                util::compare_benchmarks(baseline, changed, 0.10), 0.10)
+                .find("MISMATCH"),
+            std::string::npos);
+}
+
+TEST(BenchBaseline, MissingOrExtraCountSeriesFollowsAllowMissing) {
+  const auto baseline = parse(kCountJson);
+  const std::vector<util::BenchRecord> missing{baseline[1]};
+  auto report = util::compare_benchmarks(baseline, missing, 0.10);
+  ASSERT_EQ(report.missing_counts.size(), 1u);
+  EXPECT_TRUE(report.missing_rates.empty());
+  EXPECT_EQ(util::compare_exit_code(report, false), 3);
+  EXPECT_EQ(util::compare_exit_code(report, true), 0);
+
+  auto extra = baseline;
+  extra.push_back(baseline[0]);
+  extra.back().name = "poisson/unsharded-shards-skipped";
+  report = util::compare_benchmarks(baseline, extra, 0.10);
+  ASSERT_EQ(report.extra_counts.size(), 1u);
+  EXPECT_TRUE(report.extra_rates.empty());
+  EXPECT_EQ(util::compare_exit_code(report, false), 3);
+  EXPECT_EQ(util::compare_exit_code(report, true), 0);
+}
+
 TEST(BenchBaseline, RateMetricDetection) {
   EXPECT_TRUE(util::is_rate_metric("ticks/s"));
   EXPECT_TRUE(util::is_rate_metric("updates/s"));
   EXPECT_FALSE(util::is_rate_metric("seconds"));
   EXPECT_FALSE(util::is_rate_metric("speedup"));
   EXPECT_FALSE(util::is_rate_metric("clusters"));
+  EXPECT_TRUE(util::is_count_metric("count"));
+  EXPECT_FALSE(util::is_count_metric("steps/s"));
+  EXPECT_FALSE(util::is_count_metric("counts"));
 }
 
 }  // namespace

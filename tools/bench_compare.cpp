@@ -5,14 +5,15 @@
 // Loads every BENCH_*.json from both directories, matches records by
 // (bench, name, n, threads, metric), and exits nonzero when any rate
 // metric ("/s") in the candidate run is more than `tolerance` slower
-// than its baseline. Tolerance defaults to 0.10 (10%); the positional
+// than its baseline, or any count metric ("count": a seeded run's
+// deterministic work counter) differs from its baseline at all. Tolerance defaults to 0.10 (10%); the positional
 // argument or SSMWN_BENCH_TOLERANCE overrides it — CI machines are
 // noisy, so the workflow passes a generous value while the unit tests
 // (tests/util/bench_baseline_test.cpp) pin the comparison semantics
 // exactly.
 //
-// Silent passes are integrity failures, not warnings: a *rate* series
-// present in only one of the two runs, or any non-finite value, exits
+// Silent passes are integrity failures, not warnings: a rate or count
+// series present in only one of the two runs, or any non-finite value, exits
 // with its own code so CI can tell "slower" from "the gate didn't
 // actually compare what it claims to". `--allow-missing` downgrades
 // the one-sided cases for reduced-scale smoke runs (a size-capped run
@@ -20,7 +21,8 @@
 // non-finite values are never allowed.
 //
 // Exit codes: 0 pass, 1 regression, 2 usage or I/O error,
-// 3 integrity failure (missing/extra rate series, NaN/inf values).
+// 3 integrity failure (missing/extra rate or count series, NaN/inf
+// values).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
