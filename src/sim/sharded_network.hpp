@@ -670,16 +670,19 @@ class ShardedNetwork {
   /// else needs to be. The live buffer already holds this step's rows,
   /// and the boundary rows already sit in the mailboxes. The grades the
   /// shard's last real step wrote already read bit-equal for every row
-  /// anyone hears: when the shard first skips, each listener of its
-  /// rows (in the shard or an adjacent one) is frame_held, so it
-  /// accepted a node-level offer in the step before — the shard's last
-  /// real step — and an offer needs every heard row bit-equal; while
-  /// the shard keeps skipping, nothing rewrites those grades. Such a
-  /// row is in both buffers, so the next real step may reuse it in
-  /// place. A row nobody hears (an isolated sender) may differ between
-  /// the buffers; then its stale grade is not bit-equal, and reuse_row
-  /// copies it. Grading the skipped rows bit-equal, as a real held step
-  /// would, would erase that guard.
+  /// anyone hears. When the shard first skips, every listener of such a
+  /// row (in the shard or an adjacent one) is frame_held. A listener
+  /// that stepped in the shard's last real step accepted a node-level
+  /// offer then, and an offer needs every heard row bit-equal; a
+  /// listener that did not sat in a skipped shard adjacent to this one,
+  /// so every sender here was frame_held then and its row was reused,
+  /// which grades it bit-equal. While the shard keeps skipping, nothing
+  /// rewrites those grades. A bit-equal row is in both buffers, so the
+  /// next real step may reuse it in place. A row nobody hears (an
+  /// isolated sender) may differ between the buffers; then its stale
+  /// grade is not bit-equal, and reuse_row copies it. Grading the
+  /// skipped rows bit-equal, as a real held step would, would erase
+  /// that guard.
   void skip_shard(Shard& sh) {
     const std::size_t owned = sh.end - sh.begin;
     node_redeliveries_ += owned;
