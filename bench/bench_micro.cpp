@@ -299,6 +299,9 @@ int main() {
   // --- protocol step: incremental vs recompute ------------------------
   // The tentpole's cost model in one number pair: identical worlds, one
   // protocol maintaining e(N_p) by delta, one recomputing per R1 firing.
+  // Both are timed over steps 3..5 of a fresh world, repeated until the
+  // window passes ~40ms: caches full, payloads still churning. Stepping
+  // one world on would soon time held steps, which do no density work.
   {
     const util::Rng step_rng = root.split();
     for (const auto maintenance : {core::DensityMaintenance::kIncremental,
@@ -312,11 +315,21 @@ int main() {
       config.delta_hint =
           std::max<std::uint64_t>(2, inst.graph.max_degree());
       config.density_maintenance = maintenance;
-      auto protocol = core::DensityProtocol(inst.ids, config, rng.split());
-      sim::PerfectDelivery loss;
-      sim::ShardedNetwork network(inst.graph, protocol, loss, 1, 1);
-      network.run(3);  // caches full, payloads still churning
-      const double t = seconds_per_call([&] { network.step(); });
+      const util::Rng protocol_rng = rng.split();
+      double elapsed = 0.0;
+      std::size_t steps = 0;
+      while (elapsed <= 0.04) {
+        auto protocol = core::DensityProtocol(inst.ids, config, protocol_rng);
+        sim::PerfectDelivery loss;
+        sim::ShardedNetwork network(inst.graph, protocol, loss, 1, 1);
+        network.run(3);
+        const auto start = Clock::now();
+        network.run(3);
+        elapsed +=
+            std::chrono::duration<double>(Clock::now() - start).count();
+        steps += 3;
+      }
+      const double t = elapsed / static_cast<double>(steps);
       const bool inc = maintenance == core::DensityMaintenance::kIncremental;
       table.row({inc ? "step_incremental" : "step_recompute",
                  "poisson 4k deg8",

@@ -38,14 +38,12 @@
 // flush, the boundary rebuild, activity propagation into a shard's
 // tracker) runs one task per shard.
 //
-// Held shards. In full stepping a shard whose closed shard-neighborhood
-// is held — row hints valid on a loss-free medium, every node of the
-// shard and of every adjacent shard frame_held — skips the step
-// outright: its step is provably the identity (plan_shard_skips), so it
-// books the counters that step would have booked and does no per-node
-// protocol call, arena or mailbox work. A step in which every shard
-// skips never enters the pool; at a full hold a step costs one byte
-// scan over the hold flags.
+// Held steps. In full stepping, when row hints are valid on a
+// loss-free medium and every node is frame_held, the step is provably
+// the identity (step_held), so it is skipped outright: every shard
+// books the counters that step would have booked and nothing else
+// happens — no protocol call, arena or mailbox work, no pool round
+// trip. At a full hold a step costs one byte scan over the hold flags.
 //
 // Determinism argument (the property the differential tests assert
 // against the reference oracle in tests/support): every full step runs
@@ -62,8 +60,8 @@
 // and drained by binary search per edge, so *which* bytes a receiver
 // sees never depends on shard count or thread count. Stateful loss
 // models are polled in one serial sender-major pass, so their RNG draw
-// sequence is fixed too. Per-range tallies are summed and the skip
-// plan's booked serially, so every counter is identical at any thread
+// sequence is fixed too. Per-range tallies are summed and a held
+// step's booked serially, so every counter is identical at any thread
 // count and — shards_skipped() aside — at any shard count, full or
 // dirty stepping (docs/ARCHITECTURE.md §8).
 //
@@ -307,13 +305,12 @@ class ShardedNetwork {
     return rows_reused_;
   }
 
-  /// Shard steps the full stepper skipped outright because the shard and
-  /// every shard adjacent to it were held (every node frame_held; see
-  /// plan_shard_skips) across all steps so far — S per step at a full
-  /// hold. A skipped shard still counts its owned nodes into
-  /// node_redeliveries(), sweeps_skipped() and rows_reused(), so those
-  /// read as if it had stepped. Decided serially from protocol state
-  /// alone, so identical for any thread count.
+  /// Shard steps the full stepper skipped outright because the whole
+  /// step was held (every node frame_held; see step_held) across all
+  /// steps so far — S per held step. A held step still counts every
+  /// node into node_redeliveries(), sweeps_skipped() and rows_reused(),
+  /// so those read as if it had run. Decided serially from protocol
+  /// state alone, so identical for any thread count.
   [[nodiscard]] std::uint64_t shards_skipped() const noexcept {
     return shards_skipped_;
   }
@@ -416,21 +413,13 @@ class ShardedNetwork {
     std::vector<std::uint32_t> delta_counts;
     std::uint64_t delta_rows = 0;
     // Phase 1a's verdict: this step's offsets equal those of the rows
-    // this buffer already holds (built in the shard's last real step but
-    // one).
+    // this buffer already holds (built two arena builds ago).
     bool rows_in_place = false;
-    // Phase 0 (full stepping): every owned node is frame_held; this
-    // shard skips the step.
-    bool held = false;
-    bool skip = false;
     // Full stepping: for each destination shard, the owned nodes with at
     // least one neighbor there (ascending). Rebuilt after topology
-    // changes; copied into the frame mailboxes by every step the shard
-    // does not skip.
+    // changes; copied into the frame mailboxes by every step that is
+    // not held.
     std::vector<std::vector<graph::NodeId>> boundary_out;
-    // The shards with a non-empty boundary list — by symmetry of the
-    // graph, exactly the shards whose rows this shard's receivers hear.
-    std::vector<std::size_t> adjacent;
     // Dirty stepping (all indices local unless noted).
     ActivityTracker tracker;
     std::vector<std::uint8_t> sender_mark;
@@ -580,10 +569,6 @@ class ShardedNetwork {
           }
         }
       }
-      sh.adjacent.clear();
-      for (std::size_t t = 0; t < sh.boundary_out.size(); ++t) {
-        if (!sh.boundary_out[t].empty()) sh.adjacent.push_back(t);
-      }
     });
   }
 
@@ -594,11 +579,14 @@ class ShardedNetwork {
       NodeRedeliveryProtocol<Protocol> && QuiescentProtocol<Protocol>;
 
   void step_full() {
-    const std::size_t n = graph_->node_count();
     if (boundaries_stale_) rebuild_boundaries();
     const bool hear_all = loss_->always_delivers();
+    if (step_held(hear_all)) {
+      book_held_step();
+      return;
+    }
     if constexpr (RedeliveryProtocol<Protocol>) {
-      row_unchanged_.resize(n);
+      row_unchanged_.resize(graph_->node_count());
       // One arena build per step, stamped serially. The delta rows this
       // build produces patch against the previous build's rows, so
       // their base-generation tag is generation_ - 1 — valid only when
@@ -608,12 +596,9 @@ class ShardedNetwork {
       delta_base_generation_ =
           prev_rows_built_ ? generation_ - 1 : kNoGeneration;
     }
-    // Phase 0 picks the shards that skip; a step in which every shard
-    // skips never enters the pool.
-    const bool any_stepping = plan_shard_skips(hear_all);
-    if (any_stepping) build_rows();
+    build_rows();
     poll_losses(hear_all);
-    if (any_stepping) receive_sweep_age(hear_all);
+    receive_sweep_age(hear_all);
 
     if constexpr (RedeliveryProtocol<Protocol>) {
       // Serial fold of the per-shard delta tallies (shard order), so the
@@ -627,36 +612,18 @@ class ShardedNetwork {
     }
   }
 
-  /// Phase 0 (serial): marks the shards whose step is provably the
-  /// identity. Shard t skips when row hints are valid on a loss-free
-  /// medium, every node t owns is frame_held, and so is every node of
-  /// every shard adjacent to t. Then every row t's receivers hear is
-  /// reused (bit-equal), each receiver would be offered whole and
-  /// accept, skip its sweep (its last one was a fixpoint) and have its
-  /// end_step turn kFrameHeld back into kFrameHeld — ages included,
-  /// nothing about the shard changes (skip_shard). The scan reads two
-  /// bytes per node, stops at a shard's first node not held, and sees
-  /// every mutation made between steps because each one clears
-  /// frame_held. Returns whether any shard steps.
-  bool plan_shard_skips(bool hear_all) {
-    const bool armed = kHoldAware && row_hints_valid_ && hear_all;
-    for (Shard& sh : shards_) sh.held = armed && owned_frames_held(sh);
-    bool any_stepping = false;
-    for (Shard& sh : shards_) {
-      sh.skip = sh.held &&
-                std::all_of(sh.adjacent.begin(), sh.adjacent.end(),
-                            [this](std::size_t s) { return shards_[s].held; });
-      if (sh.skip) {
-        skip_shard(sh);
-      } else {
-        any_stepping = true;
-      }
-    }
-    return any_stepping;
-  }
-
-  [[nodiscard]] bool owned_frames_held(const Shard& sh) const {
-    for (std::size_t p = sh.begin; p < sh.end; ++p) {
+  /// Whether this full step is provably the identity: row hints are
+  /// valid on a loss-free medium and every node is frame_held. Then
+  /// every row is reused (bit-equal), every receiver would be offered
+  /// whole and accept, skip its sweep (its last one was a fixpoint) and
+  /// have its end_step turn kFrameHeld back into kFrameHeld — ages
+  /// included, nothing changes (book_held_step). The scan reads two
+  /// bytes per node, stops at the first node not held, and sees every
+  /// mutation made between steps because each one clears frame_held.
+  [[nodiscard]] bool step_held(bool hear_all) const {
+    if (!kHoldAware || !row_hints_valid_ || !hear_all) return false;
+    const std::size_t n = graph_->node_count();
+    for (std::size_t p = 0; p < n; ++p) {
       if (!frame_held(*protocol_, static_cast<graph::NodeId>(p))) {
         return false;
       }
@@ -664,60 +631,46 @@ class ShardedNetwork {
     return true;
   }
 
-  /// Books a skipped shard's step: the counters its identity step would
-  /// have added (every receiver node-level, every sweep skipped, every
-  /// row reused, no delta row). Nothing else is written, and nothing
-  /// else needs to be. The live buffer already holds this step's rows,
-  /// and the boundary rows already sit in the mailboxes. The grades the
-  /// shard's last real step wrote already read bit-equal for every row
-  /// anyone hears. When the shard first skips, every listener of such a
-  /// row (in the shard or an adjacent one) is frame_held. A listener
-  /// that stepped in the shard's last real step accepted a node-level
-  /// offer then, and an offer needs every heard row bit-equal; a
-  /// listener that did not sat in a skipped shard adjacent to this one,
-  /// so every sender here was frame_held then and its row was reused,
-  /// which grades it bit-equal. While the shard keeps skipping, nothing
-  /// rewrites those grades. A bit-equal row is in both buffers, so the
-  /// next real step may reuse it in place. A row nobody hears (an
-  /// isolated sender) may differ between the buffers; then its stale
-  /// grade is not bit-equal, and reuse_row copies it. Grading the
-  /// skipped rows bit-equal, as a real held step would, would erase
-  /// that guard.
-  void skip_shard(Shard& sh) {
-    const std::size_t owned = sh.end - sh.begin;
-    node_redeliveries_ += owned;
-    sweeps_skipped_ += owned;
-    rows_reused_ += owned;
-    ++shards_skipped_;
-    sh.delta_rows = 0;
+  /// Books a held step: the counters the identity step would have added
+  /// (every receiver node-level, every sweep skipped, every row reused,
+  /// every frame delivered, no delta row) and S skipped shards. Nothing
+  /// else is written, and nothing else needs to be: the live buffer and
+  /// the mailboxes already hold this step's rows, and the grades the
+  /// last arena build wrote still describe them. The next build swaps
+  /// buffers exactly as if it followed that build directly, so the
+  /// in-place reuse stays sound (reuse_row). Leaving the grades alone
+  /// matters: a row nobody hears (an isolated sender) may differ
+  /// between the buffers, and only its stale grade, not bit-equal, tells
+  /// reuse_row to copy it.
+  void book_held_step() {
+    const std::size_t n = graph_->node_count();
+    node_redeliveries_ += n;
+    sweeps_skipped_ += n;
+    rows_reused_ += n;
+    messages_delivered_ += graph_->csr_neighbors().size();
+    shards_skipped_ += shard_count();
   }
 
-  /// Owned nodes of shard `s` that step this step (0 for a skipped
-  /// shard) — the index space of every per-node full-stepping phase.
-  [[nodiscard]] std::size_t stepping_count(std::size_t s) const noexcept {
-    const Shard& sh = shards_[s];
-    return sh.skip ? 0 : sh.end - sh.begin;
-  }
-
-  /// Phase 1 (by source shard, per-node work by range; stepping shards
-  /// only): snapshot all owned frames into the shard arena, then flush
-  /// every boundary frame into the (src, dst) mailboxes — fixed
-  /// admission order because the boundary lists are ascending.
+  /// Phase 1 (by source shard, per-node work by range): snapshot all
+  /// owned frames into the shard arena, then flush every boundary frame
+  /// into the (src, dst) mailboxes — fixed admission order because the
+  /// boundary lists are ascending.
   /// Redelivery protocols double-buffer the arena: last step's rows move
   /// to prev_* before the build, then each fresh row is bit-compared
   /// against its predecessor so phase 3 can skip the full delivery of
   /// provably unchanged frames.
   void build_rows() {
     auto* protocol = protocol_;
-    const auto stepping = [this](std::size_t s) { return stepping_count(s); };
+    const auto owned = [this](std::size_t s) {
+      return shards_[s].end - shards_[s].begin;
+    };
     // 1a (per shard, serial): swap the double buffer, size the arena.
     // Row i of the pool is [offsets[i], offsets[i+1]), mirroring the
     // CSR layout of the graph. The swapped-in buffer still holds the
-    // rows of the shard's last real step but one; when every offset
-    // comes out as it was, those rows are still in place (reuse_row).
+    // rows of two arena builds ago; when every offset comes out as it
+    // was, those rows are still in place (reuse_row).
     for_shards([this, protocol](std::size_t s) {
       Shard& sh = shards_[s];
-      if (sh.skip) return;
       const std::size_t local_n = sh.end - sh.begin;
       if constexpr (RedeliveryProtocol<Protocol>) {
         std::swap(sh.headers, sh.prev_headers);
@@ -751,8 +704,8 @@ class ShardedNetwork {
     // step's, copied, and grades bit-equal by construction. Each range
     // writes only its own slice of the global grade bitmap.
     std::atomic<std::uint64_t> rows_reused{0};
-    for_shard_ranges(stepping, [&, protocol](std::size_t s, std::size_t lo,
-                                             std::size_t hi) {
+    for_shard_ranges(owned, [&, protocol](std::size_t s, std::size_t lo,
+                                          std::size_t hi) {
       Shard& sh = shards_[s];
       [[maybe_unused]] bool cmp = false;
       if constexpr (RedeliveryProtocol<Protocol>) {
@@ -783,7 +736,6 @@ class ShardedNetwork {
       // through a recovery window that must stay allocation-free.
       for_shards([this](std::size_t s) {
         Shard& sh = shards_[s];
-        if (sh.skip) return;
         const std::size_t local_n = sh.end - sh.begin;
         sh.delta_offsets.resize(local_n + 1);
         sh.delta_offsets[0] = 0;
@@ -800,12 +752,10 @@ class ShardedNetwork {
       // pass, but only over delta-graded rows, and shared by every
       // listener of each sender.
       bool any_delta = false;
-      for (const Shard& sh : shards_) {
-        any_delta |= !sh.skip && !sh.delta_pool.empty();
-      }
+      for (const Shard& sh : shards_) any_delta |= !sh.delta_pool.empty();
       if (any_delta) {
-        for_shard_ranges(stepping, [this](std::size_t s, std::size_t lo,
-                                          std::size_t hi) {
+        for_shard_ranges(owned, [this](std::size_t s, std::size_t lo,
+                                       std::size_t hi) {
           Shard& sh = shards_[s];
           for (std::size_t i = lo; i < hi; ++i) {
             if (sh.delta_counts[i] == 0) continue;
@@ -820,18 +770,14 @@ class ShardedNetwork {
         });
       }
     }
-    // 1e (per shard, serial): the mailbox flush. A skipped shard's rows
-    // equal the ones it last flushed, so its mailboxes stay as they are.
-    for_shards([this](std::size_t s) {
-      if (!shards_[s].skip) flush_boundary_frames(s);
-    });
+    // 1e (per shard, serial): the mailbox flush.
+    for_shards([this](std::size_t s) { flush_boundary_frames(s); });
   }
 
   /// Phase 2 (serial unless τ = 1): per-edge delivery decisions, polled
   /// sender-major so stateful loss models draw the exact same RNG
   /// sequence at any shard/thread count, stored at the receiver's
-  /// incoming CSR slot via the mirror index. A lossy step skips no
-  /// shard, so the poll always covers every edge.
+  /// incoming CSR slot via the mirror index.
   void poll_losses(bool hear_all) {
     const graph::Graph& g = *graph_;
     const auto offsets = g.csr_offsets();
@@ -851,7 +797,7 @@ class ShardedNetwork {
     }
   }
 
-  /// Phase 3 (by range of receivers; stepping shards only): one fused
+  /// Phase 3 (by range of receivers): one fused
   /// pass per receiver — receive, sweep, age. Receive, sweep and age of
   /// a receiver touch only its own state and read only the rows fixed
   /// in phase 1, so running them back to back per receiver computes
@@ -897,10 +843,12 @@ class ShardedNetwork {
     }
     std::atomic<std::uint64_t> node_redeliveries{0};
     std::atomic<std::uint64_t> sweeps_skipped{0};
-    const auto stepping = [this](std::size_t s) { return stepping_count(s); };
-    for_shard_ranges(stepping, [&, protocol, offsets, flat, hear_all, hints,
-                                gmask, S](std::size_t t, std::size_t lo,
-                                          std::size_t hi) {
+    const auto owned = [this](std::size_t s) {
+      return shards_[s].end - shards_[s].begin;
+    };
+    for_shard_ranges(owned, [&, protocol, offsets, flat, hear_all, hints,
+                             gmask, S](std::size_t t, std::size_t lo,
+                                       std::size_t hi) {
       Shard& sh = shards_[t];
       std::uint64_t taken = 0;
       std::uint64_t skipped = 0;
@@ -956,8 +904,8 @@ class ShardedNetwork {
   /// length: the row make_frame would write is then bit-identical to
   /// last step's, so it grades kRowIdsEqual | kRowBitsEqual. The bytes
   /// are copied from prev_* unless they are already here: the row
-  /// graded bit-equal in the shard's last real step (so both buffers
-  /// hold it; a skipped step grades nothing, see skip_shard) and no
+  /// graded bit-equal at the last arena build (so both buffers hold it;
+  /// a held step builds and grades nothing, see book_held_step) and no
   /// offset of the shard moved. Callers first check that last step's
   /// rows exist. Returns whether the row was reused.
   bool reuse_row(const Protocol& protocol, Shard& sh, std::size_t i) {

@@ -1,18 +1,15 @@
-// Held shards skip the step. In full stepping, a shard whose closed
-// shard-neighborhood is held (row hints valid on a loss-free medium,
-// every node of the shard and of every adjacent shard frame_held)
-// skips the step outright: its step would be the identity, ages
-// included. Every test here steps the engine in lockstep with the
-// reference oracle — which sweeps, builds and ages everything, every
-// step — bitwise with ages included, at S ∈ {1, 4, 16} spatial shards
-// on 1 and 4 threads, across the events that must release a shard: a
-// mutation between steps, a lossy step, topology changes and a stepping
-// switch. The per-step work counters must also read exactly what one
-// unsharded shard reads, so a skip books what the skipped step would
-// have booked.
+// Held steps are skipped. In full stepping, a step with row hints valid
+// on a loss-free medium and every node frame_held would be the
+// identity, ages included, so every shard skips it outright. Every test
+// here steps the engine in lockstep with the reference oracle — which
+// sweeps, builds and ages everything, every step — bitwise with ages
+// included, at S ∈ {1, 4, 16} spatial shards on 1 and 4 threads,
+// across the events that must end a hold: a mutation between steps, a
+// lossy step, topology changes and a stepping switch. The per-step work
+// counters must also read exactly what one unsharded shard reads, so a
+// skip books what the skipped step would have booked.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -45,8 +42,7 @@ constexpr EngineConfig kSkipEngines[] = {{1, 1},  {1, 4},  {4, 1},
 constexpr std::size_t kMaxSettleSteps = 200;
 
 /// 1500 nodes, mean degree ~9.5, renumbered cell-major for 16 spatial
-/// shards: the shards are bands of the field, so a band is adjacent to
-/// its neighbors only and a partial hold has shards to skip.
+/// shards (bands of the field), as the benches shard their worlds.
 struct SpatialWorld {
   std::vector<topology::Point> points;
   graph::Graph graph;
@@ -87,21 +83,6 @@ std::size_t shard_of(std::span<const std::size_t> bounds, graph::NodeId p) {
   return s;
 }
 
-/// The shard owning `p` plus every shard that shares an edge with it.
-std::size_t closed_adjacency(const graph::Graph& g,
-                             std::span<const std::size_t> bounds,
-                             std::size_t shard) {
-  std::vector<bool> adjacent(bounds.size() - 1, false);
-  adjacent[shard] = true;
-  for (std::size_t p = bounds[shard]; p < bounds[shard + 1]; ++p) {
-    for (const graph::NodeId r : g.neighbors(static_cast<graph::NodeId>(p))) {
-      adjacent[shard_of(bounds, r)] = true;
-    }
-  }
-  return static_cast<std::size_t>(
-      std::count(adjacent.begin(), adjacent.end(), true));
-}
-
 /// A medium that is perfect until told otherwise: while `*lossy` is set
 /// it drops each frame with probability 1 − τ. Two instances with the
 /// same seed decide identically when polled in the same order.
@@ -133,8 +114,12 @@ class Driver {
              std::make_unique<GatedLoss>(lossy, 0.7, util::Rng(41)),
              std::make_unique<GatedLoss>(lossy, 0.7, util::Rng(41))) {}
 
+  /// One lockstep step; a step skips every shard or none.
   StepCounts step() {
     log_.push_back(run_.step_counts());
+    const std::size_t skipped = log_.back().shards_skipped;
+    EXPECT_TRUE(skipped == 0 || skipped == shards_)
+        << skipped << " of " << shards_ << " shards skipped";
     return log_.back();
   }
 
@@ -162,13 +147,6 @@ class Driver {
   Lockstep& run() { return run_; }
   [[nodiscard]] std::size_t shards() const { return shards_; }
   [[nodiscard]] const std::vector<StepCounts>& log() const { return log_; }
-
-  /// Whether some step skipped some, but not every, shard.
-  [[nodiscard]] bool saw_partial_skip() const {
-    return std::any_of(log_.begin(), log_.end(), [this](const StepCounts& c) {
-      return c.shards_skipped > 0 && c.shards_skipped < shards_;
-    });
-  }
 
  private:
   std::size_t shards_;
@@ -213,23 +191,17 @@ graph::NodeId connected_node_in(const graph::Graph& g,
   return static_cast<graph::NodeId>(bounds[s]);
 }
 
-/// A read-write touch of one node (mutable_state, nothing written)
-/// releases its shard and the shards adjacent to it for exactly two
-/// steps: the mutated node resyncs through the full path, then its row
-/// is rebuilt once more; every other shard keeps skipping.
-TEST(ShardSkip, PartialHoldSkipsOnlyShardsAwayFromAMutation) {
+/// A read-write touch of one node (mutable_state, nothing written) ends
+/// the hold for exactly two steps: the mutated node resyncs through the
+/// full path, then its row is rebuilt once more. Every other node stays
+/// held through both, so the counters read n − 1 and n, not 0.
+TEST(ShardSkip, MutationEndsTheHoldForTwoSteps) {
   const SpatialWorld w = make_spatial_world();
   const std::size_t n = w.graph.node_count();
   const bool lossy = false;
   play_everywhere(w, w.graph, &lossy, [&](Driver& d) {
     const graph::NodeId x =
         connected_node_in(w.graph, w.bounds, kSpatialShards / 2);
-    const auto bounds = bounds_for(w, d.shards());
-    const std::size_t released =
-        closed_adjacency(w.graph, bounds, shard_of(bounds, x));
-    if (d.shards() == kSpatialShards) {
-      ASSERT_LT(released, d.shards()) << "every shard borders the mutation";
-    }
     d.settle();
     d.expect_full_skips(n, 2);
     d.run().mutate([x](core::DensityProtocol& p) {
@@ -237,12 +209,12 @@ TEST(ShardSkip, PartialHoldSkipsOnlyShardsAwayFromAMutation) {
       (void)s;
     });
     const StepCounts first = d.step();
-    EXPECT_EQ(first.shards_skipped, d.shards() - released);
+    EXPECT_EQ(first.shards_skipped, 0u);
     EXPECT_EQ(first.node_redeliveries, n - 1);
     EXPECT_EQ(first.sweeps_skipped, n - 1);
     EXPECT_EQ(first.rows_reused, n - 1);
     const StepCounts second = d.step();
-    EXPECT_EQ(second.shards_skipped, d.shards() - released);
+    EXPECT_EQ(second.shards_skipped, 0u);
     EXPECT_EQ(second.node_redeliveries, n);
     EXPECT_EQ(second.sweeps_skipped, n);
     EXPECT_EQ(second.rows_reused, n - 1);
@@ -250,15 +222,15 @@ TEST(ShardSkip, PartialHoldSkipsOnlyShardsAwayFromAMutation) {
   });
 }
 
-/// The buffer a shard swaps in at its first real step after a skip
-/// holds the rows of its last real step but one. Every heard row agrees
-/// in both buffers (its listeners accepted it bit-equal before the
-/// skip), but an isolated sender's row need not: here its header
-/// changed in the shard's last real step. Held through the next real
-/// step, that row must be copied from the held buffer rather than
-/// trusted in place (the skip must leave its grade saying it changed),
-/// or the step after grades the isolated node's rebuilt, unchanged row
-/// against a stale one and books a delta row that never was.
+/// The buffer the first arena build after a held step swaps in holds
+/// the rows of two builds ago. Every heard row agrees in both buffers
+/// (its listeners accepted it bit-equal before the hold), but an
+/// isolated sender's row need not: here its header changed at the last
+/// build before the hold. Held through the next build, that row must be
+/// copied from the held buffer rather than trusted in place (held steps
+/// must leave its grade saying it changed), or the step after grades
+/// the isolated node's rebuilt, unchanged row against a stale one and
+/// books a delta row that never was.
 TEST(ShardSkip, IsolatedRowChangedBeforeASkipIsNotReusedInPlace) {
   const testsupport::World w = testsupport::make_world();
   const std::size_t n = w.graph.node_count();
@@ -293,13 +265,14 @@ TEST(ShardSkip, IsolatedRowChangedBeforeASkipIsNotReusedInPlace) {
         FAIL() << "world did not reach a full hold";
       };
       full_skip();
-      // The isolated node's last real step rebuilds its repaired row.
+      // The last build before the hold rebuilds the isolated node's
+      // repaired row.
       run.mutate([lone](core::DensityProtocol& p) {
         p.mutable_state(lone).metric = 7.25;
       });
       full_skip();
       EXPECT_EQ(run.step_counts().shards_skipped, shards);
-      // Its shard steps while it stays held...
+      // The next build runs while it stays held...
       run.mutate([mate](core::DensityProtocol& p) {
         auto s = p.mutable_state(mate);
         (void)s;
@@ -319,8 +292,8 @@ TEST(ShardSkip, IsolatedRowChangedBeforeASkipIsNotReusedInPlace) {
   }
 }
 
-/// Repeated fractional corruption between steps: shards drop in and out
-/// of the hold while each recovery ripples outward and settles.
+/// Repeated fractional corruption between steps: the hold ends and
+/// comes back as each recovery ripples outward and settles.
 TEST(ShardSkip, CorruptFractionBetweenSteps) {
   const SpatialWorld w = make_spatial_world();
   const std::size_t n = w.graph.node_count();
@@ -334,15 +307,12 @@ TEST(ShardSkip, CorruptFractionBetweenSteps) {
     }
     d.settle();
     d.expect_full_skips(n, 2);
-    if (d.shards() == kSpatialShards) {
-      EXPECT_TRUE(d.saw_partial_skip()) << "no step skipped some shards only";
-    }
   });
 }
 
 /// A lossy step skips nothing, and the loss-free step after it has no
 /// valid row hints, so it skips nothing either.
-TEST(ShardSkip, LossyStepReleasesEveryShard) {
+TEST(ShardSkip, LossyStepEndsTheHold) {
   const SpatialWorld w = make_spatial_world();
   const std::size_t n = w.graph.node_count();
   bool lossy = false;
@@ -359,9 +329,8 @@ TEST(ShardSkip, LossyStepReleasesEveryShard) {
 }
 
 /// A non-empty topology delta (one node jumps across the field) drops
-/// the row hints and restales the boundary lists, including the shard
-/// adjacency the skip reads.
-TEST(ShardSkip, TopologyDeltaReleasesEveryShard) {
+/// the row hints and restales the boundary lists.
+TEST(ShardSkip, TopologyDeltaEndsTheHold) {
   const SpatialWorld w = make_spatial_world();
   const std::size_t n = w.graph.node_count();
   const bool lossy = false;
@@ -384,8 +353,8 @@ TEST(ShardSkip, TopologyDeltaReleasesEveryShard) {
   });
 }
 
-/// A wholesale graph swap drops every hold too.
-TEST(ShardSkip, SetGraphReleasesEveryShard) {
+/// A wholesale graph swap ends the hold too.
+TEST(ShardSkip, SetGraphEndsTheHold) {
   const SpatialWorld w = make_spatial_world();
   const std::size_t n = w.graph.node_count();
   const bool lossy = false;

@@ -192,9 +192,9 @@ TEST(ZeroAlloc, PoolDispatchDoesNotTouchTheHeap) {
                         << " times";
 }
 
-// A full hold on a pooled engine: every shard skips the step (its
-// closed shard-neighborhood is held), so the step never enters the pool
-// and touches no arena, mailbox or cache — and no heap either.
+// A full hold on a pooled engine: every node is held, so every shard
+// skips the step, which never enters the pool and touches no arena,
+// mailbox or cache — and no heap either.
 TEST(ZeroAlloc, AllSkippedStepDoesNotTouchTheHeap) {
   util::Rng rng(2011);
   const std::size_t n = 300;
