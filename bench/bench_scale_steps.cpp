@@ -178,12 +178,12 @@ int main() {
                  util::Table::num(par_sps / seed_sps, 2) + "x",
                  util::Table::integer(static_cast<long long>(
                      arena.counts.node_redeliveries / steps))});
-      json.add(std::string(row.name) + "/seed", nodes, 1, "steps_per_s",
+      json.add(std::string(row.name) + "/seed", nodes, 1, "steps/s",
                seed_sps);
-      json.add(std::string(row.name) + "/arena", nodes, 1, "steps_per_s",
+      json.add(std::string(row.name) + "/arena", nodes, 1, "steps/s",
                arena_sps);
       json.add(std::string(row.name) + "/parallel", nodes, threads,
-               "steps_per_s", par_sps);
+               "steps/s", par_sps);
       json.add(std::string(row.name) + "/arena-node-redeliveries", nodes, 1,
                "count", static_cast<double>(arena.counts.node_redeliveries));
       json.add(std::string(row.name) + "/arena-sweeps-skipped", nodes, 1,

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -55,24 +54,6 @@ std::string result_line(const campaign::CampaignPlan& plan, std::size_t i,
   line += ',';
   line += std::to_string(m.windows);
   return line;
-}
-
-/// Blocks until `fd` has input (a frame, a pending connection, EOF or
-/// an error) or the stop pipe fires; returns false on stop. The stop
-/// byte stays unread, so the accept loop and every connection see it.
-bool await_input(int fd, int stop_fd) {
-  for (;;) {
-    pollfd fds[2];
-    fds[0] = {fd, POLLIN, 0};
-    fds[1] = {stop_fd, POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("serve: poll failed: ") +
-                               std::strerror(errno));
-    }
-    if (fds[1].revents != 0) return false;
-    if (fds[0].revents != 0) return true;
-  }
 }
 
 }  // namespace
@@ -157,9 +138,9 @@ void Server::run() {
                            std::ref(c.done));
   }
   // Drain: no new connections; in-flight connections finish their
-  // current spec, and every connection waiting for its next frame wakes
-  // on the stop pipe and closes; then the pool finishes every queued run
-  // before its workers join.
+  // current spec, and every connection waiting for its next frame or for
+  // the rest of one wakes on the stop pipe and closes; then the pool
+  // finishes every queued run before its workers join.
   close_fd(listen_fd_);
   {
     const std::scoped_lock lock(threads_mutex_);
@@ -185,7 +166,8 @@ void Server::reap_finished() {
 void Server::serve_connection(int fd, std::atomic<bool>& done) {
   try {
     Frame frame;
-    while (await_input(fd, stop_pipe_[0]) && read_frame(fd, frame)) {
+    while (await_input(fd, stop_pipe_[0]) &&
+           read_frame(fd, frame, stop_pipe_[0])) {
       if (frame.type != FrameType::kSpec) {
         write_frame(fd, FrameType::kError, "expected a spec ('S') frame");
         continue;

@@ -17,8 +17,10 @@
 // the accept loop's poll wakes, the listener closes (no new
 // connections), in-flight connections finish the spec they are serving,
 // every connection waiting for its next frame (idle clients included)
-// wakes on the same pipe and closes, and the pool drains its queue
-// before the workers join. Nothing in flight is dropped.
+// or for the rest of one (a client stalled mid-frame) wakes on the same
+// pipe and closes, and the pool drains its queue before the workers
+// join. Nothing in flight is dropped; a half-sent frame is not in
+// flight.
 //
 // Accepted sockets set TCP_NODELAY: each result frame is one write(2)
 // sent as its slot completes, and Nagle would otherwise hold the rest

@@ -1,5 +1,7 @@
 #include "serve/wire.hpp"
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -17,14 +19,25 @@ namespace {
 
 /// Reads exactly `size` bytes. Returns false only when EOF arrives
 /// before the FIRST byte (a clean close between frames when
-/// `eof_ok_at_start`); EOF later is a torn frame and throws.
-bool read_exact(int fd, void* buffer, std::size_t size, bool eof_ok_at_start) {
+/// `eof_ok_at_start`); EOF later is a torn frame and throws. With a
+/// `stop_fd`, reads never block: when `fd` runs dry the wait covers
+/// `stop_fd` too, and a stop before the first byte reads as a clean
+/// close (when `eof_ok_at_start`), after it as a torn frame.
+bool read_exact(int fd, void* buffer, std::size_t size, bool eof_ok_at_start,
+                int stop_fd) {
   auto* out = static_cast<char*>(buffer);
   std::size_t got = 0;
   while (got < size) {
-    const ssize_t n = ::read(fd, out + got, size - got);
+    const ssize_t n =
+        stop_fd < 0 ? ::read(fd, out + got, size - got)
+                    : ::recv(fd, out + got, size - got, MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (stop_fd >= 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (await_input(fd, stop_fd)) continue;
+        if (got == 0 && eof_ok_at_start) return false;
+        throw std::runtime_error("wire: stopped mid-frame");
+      }
       fail("read failed");
     }
     if (n == 0) {
@@ -51,9 +64,24 @@ void write_exact(int fd, const void* buffer, std::size_t size) {
 
 }  // namespace
 
-bool read_frame(int fd, Frame& out) {
+bool await_input(int fd, int stop_fd) {
+  for (;;) {
+    pollfd fds[2];
+    fds[0] = {fd, POLLIN, 0};
+    fds[1] = {stop_fd, POLLIN, 0};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      fail("poll failed");
+    }
+    if (fds[1].revents != 0) return false;
+    if (fds[0].revents != 0) return true;
+  }
+}
+
+bool read_frame(int fd, Frame& out, int stop_fd) {
   unsigned char prefix[4];
-  if (!read_exact(fd, prefix, sizeof(prefix), /*eof_ok_at_start=*/true)) {
+  if (!read_exact(fd, prefix, sizeof(prefix), /*eof_ok_at_start=*/true,
+                  stop_fd)) {
     return false;
   }
   const std::uint32_t length =
@@ -68,14 +96,17 @@ bool read_frame(int fd, Frame& out) {
     throw std::runtime_error("wire: frame exceeds maximum payload size");
   }
   unsigned char type = 0;
-  read_exact(fd, &type, 1, /*eof_ok_at_start=*/false);
+  read_exact(fd, &type, 1, /*eof_ok_at_start=*/false, stop_fd);
   out.type = static_cast<FrameType>(type);
   out.body.resize(length - 1);
   if (!out.body.empty()) {
-    read_exact(fd, out.body.data(), out.body.size(), /*eof_ok_at_start=*/false);
+    read_exact(fd, out.body.data(), out.body.size(),
+               /*eof_ok_at_start=*/false, stop_fd);
   }
   return true;
 }
+
+bool read_frame(int fd, Frame& out) { return read_frame(fd, out, -1); }
 
 void write_frame(int fd, FrameType type, std::string_view body) {
   if (body.size() + 1 > kMaxFramePayload) {

@@ -57,6 +57,20 @@ inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 /// payload (no type byte), or an oversized length prefix.
 [[nodiscard]] bool read_frame(int fd, Frame& out);
 
+/// As read_frame(fd, out), for a socket `fd`, but never blocked past
+/// `stop_fd` turning readable: reads do not wait (MSG_DONTWAIT), and
+/// only when the socket runs dry does it poll `fd` and `stop_fd`
+/// together, so a frame that arrives whole costs no extra syscall. A
+/// stop before the frame's first byte returns false like a clean close;
+/// a stop after it throws like a torn frame.
+[[nodiscard]] bool read_frame(int fd, Frame& out, int stop_fd);
+
+/// Blocks until `fd` has input (a frame, a pending connection, EOF or
+/// an error) or `stop_fd` turns readable; returns false on stop. The
+/// stop byte stays unread, so every waiter on the same pipe sees it.
+/// Throws std::runtime_error if poll(2) fails.
+[[nodiscard]] bool await_input(int fd, int stop_fd);
+
 /// Writes one frame to `fd`, looping over partial writes and EINTR.
 /// Throws std::runtime_error on IO errors or an oversized body.
 void write_frame(int fd, FrameType type, std::string_view body);

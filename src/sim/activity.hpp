@@ -47,11 +47,14 @@ class ActivityTracker {
   /// Sizes the tracker for `n` nodes and empties both sets; with
   /// `all_active`, every node is queued for the next step (how a dirty
   /// run starts: quiescence is discovered, never assumed). Counters are
-  /// not touched — use `reset_counters` for a fresh run.
+  /// not touched — use `reset_counters` for a fresh run. Both lists
+  /// reserve room for every node, so waking and stepping never allocate.
   void reset(std::size_t n, bool all_active) {
     next_mark_.assign(n, 0);
     next_list_.clear();
     current_list_.clear();
+    next_list_.reserve(n);
+    current_list_.reserve(n);
     if (all_active) {
       next_list_.resize(n);
       for (std::size_t p = 0; p < n; ++p) next_list_[p] = p;
@@ -65,9 +68,9 @@ class ActivityTracker {
   }
 
   /// Queues `p` for the next step (idempotent). A wake past the last
-  /// `reset` size is legal — a live topology delta or a shard handoff
-  /// can reference nodes the tracker has not been resized for yet — and
-  /// grows the mark array instead of indexing out of bounds. The assert
+  /// `reset` size is legal — a live topology delta can reference nodes
+  /// the tracker has not been resized for yet — and grows the mark
+  /// array instead of indexing out of bounds. The assert
   /// rejects ids past kMaxTrackedNode: those are corrupt (a stray
   /// kInvalidNode would otherwise become an 8-billion-entry resize).
   void wake(graph::NodeId p) {

@@ -20,30 +20,27 @@
 // extensions detected with `if constexpr`.
 //
 // Shards. The node range [0, n) is carved into S contiguous,
-// shard-owned ranges (S = 1 is the plain unsharded engine). A shard
-// owns its frame arena and — in dirty mode — its own ActivityTracker;
-// at million-node scale, cell-major renumbering via
-// graph::plan_spatial_shards keeps radio neighbors range-near. All
-// cross-shard traffic is funneled through per-shard-pair mailboxes,
-// each written by exactly one shard and read by exactly one other —
-// the seam later multi-process / NUMA work plugs into: a mailbox flush
-// is the message a process boundary would send.
+// shard-owned ranges (S = 1 is the plain unsharded engine). In full
+// stepping a shard owns its frame arena, whose offset and delta prefix
+// sums run one task per shard; at million-node scale, cell-major
+// renumbering via graph::plan_spatial_shards keeps radio neighbors
+// range-near, so most of a receiver's rows sit in its own shard's
+// arena. All shards share one address space: a receiver reads a remote
+// sender's row in place, from the sender shard's arena.
 //
 // Threads. Shards and threads are independent. Per-node phases (frame
 // build, row grading and delta extraction, and the fused
 // receive → sweep → age pass) map over node ranges clipped to shard
 // bounds — one range per shard when S >= threads, pool-sized sub-ranges
 // otherwise — and write only the state of the node they are indexed
-// by. Per-shard serial work (offset and delta prefix sums, the mailbox
-// flush, the boundary rebuild, activity propagation into a shard's
-// tracker) runs one task per shard.
+// by.
 //
 // Held steps. In full stepping, when row hints are valid on a
 // loss-free medium and every node is frame_held, the step is provably
 // the identity (step_held), so it is skipped outright: every shard
 // books the counters that step would have booked and nothing else
-// happens — no protocol call, arena or mailbox work, no pool round
-// trip. At a full hold a step costs one byte scan over the hold flags.
+// happens — no protocol call, no arena work, no pool round trip. At a
+// full hold a step costs one byte scan over the hold flags.
 //
 // Determinism argument (the property the differential tests assert
 // against the reference oracle in tests/support): every full step runs
@@ -54,31 +51,27 @@
 // fusing them computes what three barrier-separated passes would.
 // Within a phase each node is processed exactly once with inputs fixed
 // at the barrier, and each receiver pulls its heard frames in
-// ascending-sender order (its sorted CSR row). Mailboxes are filled in
-// a fixed (src-shard, dst-shard, admission) order — admission order is
-// ascending sender id, because shard sweeps walk their range in order —
-// and drained by binary search per edge, so *which* bytes a receiver
-// sees never depends on shard count or thread count. Stateful loss
-// models are polled in one serial sender-major pass, so their RNG draw
-// sequence is fixed too. Per-range tallies are summed and a held
-// step's booked serially, so every counter is identical at any thread
-// count and — shards_skipped() aside — at any shard count, full or
-// dirty stepping (docs/ARCHITECTURE.md §8).
+// ascending-sender order (its sorted CSR row). Arena rows are written
+// only by the build phase and read only after its barrier, local or
+// remote alike, so *which* bytes a receiver sees never depends on shard
+// count or thread count. Stateful loss models are polled in one serial
+// sender-major pass, so their RNG draw sequence is fixed too. Per-range
+// tallies are summed and a held step's booked serially, so every
+// counter is identical at any thread count and — shards_skipped()
+// aside — at any shard count, full or dirty stepping
+// (docs/ARCHITECTURE.md §8).
 //
-// Dirty-region composition: each shard's tracker wakes and drains
-// locally; a wake that crosses a shard boundary rides a wake-mailbox
-// flushed at the step's final barrier and drained at the next step's
-// first phase — one step of latency is exactly what the
-// double-buffered wake set gives, so the union of the per-shard active
-// sets equals the global active set step for step. Frames a shard
-// needs from remote senders are requested through a request-mailbox
-// and answered through a frame-mailbox within the same step (two
-// barriers), so quiescent shards with no requests do no work.
+// Dirty-region stepping ignores the shard split: one engine-wide
+// ActivityTracker holds the active set, and one compact arena holds
+// the frames of its senders. A dirty step gathers the senders (every
+// neighbor of an active receiver) serially, builds their frames by
+// range, runs the fused deliver → tick → end_step pass over the active
+// receivers by range, and propagates wakes serially, so a quiet
+// network does O(active region) work whatever S is.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -128,11 +121,7 @@ class ShardedNetwork {
     for (std::size_t s = 0; s < S; ++s) {
       shards_[s].begin = bounds_[s];
       shards_[s].end = bounds_[s + 1];
-      shards_[s].boundary_out.resize(S);
     }
-    frame_mb_.resize(S * S);
-    req_mb_.resize(S * S);
-    wake_mb_.resize(S * S);
     set_threads(threads);
   }
 
@@ -166,12 +155,9 @@ class ShardedNetwork {
           "bounds the engine was built with");
     }
     graph_ = &g;
-    boundaries_stale_ = true;
     invalidate_row_hints();
     if (stepping_ == Stepping::kDirty) {
-      for (Shard& sh : shards_) {
-        sh.tracker.reset(sh.end - sh.begin, /*all_active=*/true);
-      }
+      activity_.reset(g.node_count(), /*all_active=*/true);
     }
   }
 
@@ -195,19 +181,13 @@ class ShardedNetwork {
         }
         stepping_ = Stepping::kDirty;
         protocol_->set_activity_tracking(true);
-        for (Shard& sh : shards_) {
-          sh.tracker.reset(sh.end - sh.begin, /*all_active=*/true);
-          sh.tracker.reset_counters();
-        }
-        for (auto& mb : wake_mb_) mb.clear();
-        stats_.reset(0, false);
-        stats_.reset_counters();
+        activity_.reset(graph_->node_count(), /*all_active=*/true);
+        activity_.reset_counters();
         return;
       }
       stepping_ = Stepping::kFull;
       protocol_->set_activity_tracking(false);
-      for (Shard& sh : shards_) sh.tracker.reset(0, false);
-      stats_.reset(0, false);
+      activity_.reset(0, false);
       return;
     } else {
       if (mode == Stepping::kDirty) {
@@ -221,23 +201,18 @@ class ShardedNetwork {
 
   [[nodiscard]] Stepping stepping() const noexcept { return stepping_; }
 
-  /// Aggregate stepped/skipped counters across all shards:
+  /// Stepped/skipped counters and, in dirty mode, the active set:
   /// `activity().last_nodes_stepped() == 0` after a step is the
-  /// quiescence property the tests assert. The aggregate keeps no work
-  /// list; per-shard lists are at `shard_activity(s)`.
+  /// quiescence property the tests assert, and `activity().active()` is
+  /// the last dirty step's work list (global ids, ascending).
   [[nodiscard]] const ActivityTracker& activity() const noexcept {
-    return stats_;
-  }
-  [[nodiscard]] const ActivityTracker& shard_activity(
-      std::size_t s) const noexcept {
-    return shards_[s].tracker;
+    return activity_;
   }
 
   /// Seeds the activity set from outside knowledge — e.g.
   /// `graph::DynamicGraph::dirty_nodes()` after a live patch: wakes each
-  /// listed node and its closed neighborhood (dirty mode only), crossing
-  /// shard boundaries directly — callers run between steps, where every
-  /// tracker is safely writable.
+  /// listed node and its closed neighborhood (dirty mode only). Call
+  /// between steps.
   void mark_dirty(std::span<const graph::NodeId> nodes) {
     if (stepping_ != Stepping::kDirty) return;
     for (const graph::NodeId p : nodes) wake_closed(p);
@@ -319,11 +294,9 @@ class ShardedNetwork {
   /// `delta` (dynamic-topology runs; the owner mutates the graph via
   /// graph::DynamicGraph, then calls this). Topology-aware protocols
   /// are told about every severed link so stale neighbor caches die now
-  /// rather than by aging; the boundary-sender lists go stale (a
-  /// patched edge may create or destroy a boundary crossing); dirty
-  /// mode wakes the closed neighborhoods of both endpoints of every
-  /// patched edge. An empty delta changed nothing and is a no-op. Call
-  /// between steps.
+  /// rather than by aging; dirty mode wakes the closed neighborhoods of
+  /// both endpoints of every patched edge. An empty delta changed
+  /// nothing and is a no-op. Call between steps.
   void apply_topology_delta(const graph::EdgeDelta& delta) {
     if (delta.empty()) return;
     invalidate_row_hints();
@@ -332,7 +305,6 @@ class ShardedNetwork {
         protocol_->on_edge_removed(a, b);
       }
     }
-    boundaries_stale_ = true;
     if (stepping_ == Stepping::kDirty) {
       for (const auto& [a, b] : delta.added) {
         wake_closed(a);
@@ -356,7 +328,7 @@ class ShardedNetwork {
       }
     }
     step_full();
-    stats_.record(graph_->node_count(), 0);
+    activity_.record(graph_->node_count(), 0);
     ++steps_;
   }
 
@@ -365,33 +337,13 @@ class ShardedNetwork {
   }
 
  private:
-  /// One (src-shard, dst-shard) mailbox: the src shard's boundary
-  /// frames, admitted in ascending sender id. `offsets` is CSR-style
-  /// over `senders`; the sorted sender list is what the destination's
-  /// delivery loop binary-searches per cross-shard edge.
-  struct FrameMailbox {
-    std::vector<graph::NodeId> senders;
-    std::vector<typename Protocol::FrameHeader> headers;
-    std::vector<typename Protocol::Digest> pool;
-    std::vector<std::size_t> offsets;
-    // Delta rows riding along with the full rows (redelivery protocols,
-    // full stepping): for every sender graded kRowDeltaApplicable, the
-    // digests whose bits moved since last step — the payload a
-    // cross-process frame format would put on the wire, with the full
-    // row kept as the fallback for receivers that decline the patch.
-    // delta_offsets is CSR over mailbox slots (senders + 1 entries);
-    // rows of senders without the grade are empty. Maintained only by
-    // the full stepper's flush; the dirty stepper always grades 0, so
-    // these are never read there.
-    std::vector<typename Protocol::Digest> delta_pool;
-    std::vector<std::size_t> delta_offsets;
-  };
-
+  /// A shard's node range and frame arena: in full stepping one row per
+  /// owned node (local index), read in place by every listener, local
+  /// or remote. The dirty stepper's compact arena (`dirty_rows_`) is a
+  /// Shard too, one row per sender slot, with an empty range.
   struct Shard {
     std::size_t begin = 0;
     std::size_t end = 0;
-    // Frame arena. Full stepping: one row per owned node (local index).
-    // Dirty stepping: one row per entry of `sender_list` (compact).
     std::vector<typename Protocol::FrameHeader> headers;
     std::vector<typename Protocol::Digest> pool;
     std::vector<std::size_t> offsets;
@@ -404,10 +356,10 @@ class ShardedNetwork {
     std::vector<std::size_t> prev_offsets;
     // This step's delta rows (redelivery protocols, full stepping): the
     // changed digests of every delta-graded owned sender, ascending id,
-    // CSR over local sender index — what a delta-encoded wire frame
-    // would carry. delta_rows counts the senders graded
-    // delta-applicable this step (folded serially into the engine
-    // total, so the aggregate is thread-count invariant).
+    // CSR over local sender index; rows of senders without the grade are
+    // empty. delta_rows counts the senders graded delta-applicable this
+    // step (folded serially into the engine total, so the aggregate is
+    // thread-count invariant).
     std::vector<typename Protocol::Digest> delta_pool;
     std::vector<std::size_t> delta_offsets;
     std::vector<std::uint32_t> delta_counts;
@@ -415,17 +367,6 @@ class ShardedNetwork {
     // Phase 1a's verdict: this step's offsets equal those of the rows
     // this buffer already holds (built two arena builds ago).
     bool rows_in_place = false;
-    // Full stepping: for each destination shard, the owned nodes with at
-    // least one neighbor there (ascending). Rebuilt after topology
-    // changes; copied into the frame mailboxes by every step that is
-    // not held.
-    std::vector<std::vector<graph::NodeId>> boundary_out;
-    // Dirty stepping (all indices local unless noted).
-    ActivityTracker tracker;
-    std::vector<std::uint8_t> sender_mark;
-    std::vector<std::size_t> sender_slot;
-    std::vector<graph::NodeId> sender_list;  // global ids
-    std::uint64_t delivered = 0;             // this step's reception count
   };
 
   [[nodiscard]] std::size_t shard_of(graph::NodeId p) const noexcept {
@@ -436,8 +377,7 @@ class ShardedNetwork {
 
   /// Maps `body(shard_index)` over all shards, inline or across the
   /// pool (one chunk per shard: per-shard serial work). Phases must
-  /// write only shard-owned state and mailboxes keyed by the acting
-  /// shard.
+  /// write only shard-owned state.
   template <typename F>
   void for_shards(F&& body) {
     const std::size_t S = shard_count();
@@ -454,62 +394,60 @@ class ShardedNetwork {
         &body);
   }
 
-  /// Maps `body(s, begin, end)` over every shard's local index space
-  /// [0, count(s)) — owned nodes for the full stepper, the compact
-  /// sender or active lists for the dirty one. One range per shard when
-  /// there are at least as many shards as threads; otherwise the
-  /// concatenated index spaces are cut into pool-sized chunks, clipped
-  /// at shard bounds. For per-node phases: `body` must write only the
-  /// state of the items it is handed.
-  template <typename Count, typename F>
-  void for_shard_ranges(Count&& count, F&& body) {
-    const std::size_t S = shard_count();
-    if (!pool_ || S >= pool_->thread_count()) {
-      for_shards([&](std::size_t s) { body(s, std::size_t{0}, count(s)); });
+  /// Maps `body(begin, end)` over [0, count) in pool-sized chunks, or
+  /// inline without a pool. `body` must write only the state of the
+  /// items it is handed.
+  template <typename F>
+  void for_ranges(std::size_t count, F&& body) {
+    if (!pool_) {
+      body(std::size_t{0}, count);
       return;
     }
-    auto& starts = range_starts_;
-    starts.resize(S + 1);
-    starts[0] = 0;
-    for (std::size_t s = 0; s < S; ++s) starts[s + 1] = starts[s] + count(s);
-    auto chunk = [&starts, &body](std::size_t begin, std::size_t end) {
+    pool_->parallel_for(
+        count, 0,
+        [](void* ctx, std::size_t begin, std::size_t end) {
+          (*static_cast<std::remove_reference_t<F>*>(ctx))(begin, end);
+        },
+        &body);
+  }
+
+  /// Maps `body(s, begin, end)` over every shard's owned local index
+  /// space [0, end - begin). One range per shard when there are at
+  /// least as many shards as threads; otherwise the concatenated index
+  /// spaces are cut into pool-sized chunks, clipped at shard bounds. For
+  /// per-node phases: `body` must write only the state of the nodes it
+  /// is handed.
+  template <typename F>
+  void for_shard_ranges(F&& body) {
+    const std::size_t S = shard_count();
+    if (!pool_ || S >= pool_->thread_count()) {
+      for_shards([&](std::size_t s) {
+        body(s, std::size_t{0}, shards_[s].end - shards_[s].begin);
+      });
+      return;
+    }
+    // Shard s's local index i is global node bounds_[s] + i, so the
+    // concatenated index space is [0, n) and bounds_ its cut points.
+    for_ranges(bounds_.back(), [this, &body](std::size_t begin,
+                                             std::size_t end) {
       auto s = static_cast<std::size_t>(
-          std::upper_bound(starts.begin(), starts.end(), begin) -
-          starts.begin()) - 1;
+          std::upper_bound(bounds_.begin(), bounds_.end(), begin) -
+          bounds_.begin()) - 1;
       for (; begin < end; ++s) {
-        const std::size_t stop = std::min(end, starts[s + 1]);
-        if (begin < stop) body(s, begin - starts[s], stop - starts[s]);
+        const std::size_t stop = std::min(end, bounds_[s + 1]);
+        if (begin < stop) body(s, begin - bounds_[s], stop - bounds_[s]);
         begin = stop;
       }
-    };
-    pool_->parallel_for(
-        starts[S], 0,
-        [](void* ctx, std::size_t begin, std::size_t end) {
-          (*static_cast<decltype(chunk)*>(ctx))(begin, end);
-        },
-        &chunk);
+    });
   }
 
-  /// Copies row `slot` of `src`'s arena to the back of `mb`.
-  static void append_frame(FrameMailbox& mb, const Shard& src,
-                           std::size_t slot) {
-    mb.headers.push_back(src.headers[slot]);
-    const std::size_t len = src.offsets[slot + 1] - src.offsets[slot];
-    mb.offsets.push_back(mb.offsets.back() + len);
-    mb.pool.insert(mb.pool.end(), src.pool.begin() + src.offsets[slot],
-                   src.pool.begin() + src.offsets[slot] + len);
-  }
-
-  /// Delivers row `slot` of `rows` — a shard arena or a frame mailbox,
-  /// which carry the same row layout, delta rows included — to receiver
-  /// `q` through the strongest fast path `grade` allows. Mailbox rows
-  /// are byte copies of the sender shard's arena and delta rows, so the
-  /// sender-side grade covers them too. Callers strip
+  /// Delivers row `slot` of `rows` — the sender's shard arena, or the
+  /// dirty stepper's compact arena with grade 0 — to receiver `q`
+  /// through the strongest fast path `grade` allows. Callers strip
   /// kRowDeltaApplicable from the grade when the delta rows' base
   /// generation doesn't name the rows every listener consumed.
-  template <typename Rows>
   static void deliver_row(Protocol& protocol, graph::NodeId q,
-                          const Rows& rows, std::size_t slot,
+                          const Shard& rows, std::size_t slot,
                           unsigned char grade) {
     const auto digests = std::span(rows.pool.data() + rows.offsets[slot],
                                    rows.offsets[slot + 1] - rows.offsets[slot]);
@@ -533,45 +471,6 @@ class ShardedNetwork {
     protocol.deliver(q, rows.headers[slot], digests);
   }
 
-  /// Delivers remote `sender`'s row from mailbox `mb` (binary search
-  /// over its sorted sender list).
-  static void deliver_from(Protocol& protocol, graph::NodeId q,
-                           const FrameMailbox& mb, graph::NodeId sender,
-                           unsigned char grade = 0) {
-    const auto it =
-        std::lower_bound(mb.senders.begin(), mb.senders.end(), sender);
-    // A miss here means the graph changed without set_graph /
-    // apply_topology_delta — the boundary lists no longer cover it.
-    assert(it != mb.senders.end() && *it == sender);
-    deliver_row(protocol, q, mb,
-                static_cast<std::size_t>(it - mb.senders.begin()), grade);
-  }
-
-  /// Recomputes the static boundary-sender lists (full stepping) after
-  /// a topology or graph change. Parallel by shard; each shard scans
-  /// its own CSR rows, so admission order is ascending sender id. One
-  /// shard has no boundary, so there is nothing to scan.
-  void rebuild_boundaries() {
-    boundaries_stale_ = false;
-    if (shard_count() < 2) return;
-    const graph::Graph& g = *graph_;
-    for_shards([this, &g](std::size_t s) {
-      Shard& sh = shards_[s];
-      for (auto& list : sh.boundary_out) list.clear();
-      for (std::size_t p = sh.begin; p < sh.end; ++p) {
-        for (const graph::NodeId r :
-             g.neighbors(static_cast<graph::NodeId>(p))) {
-          const std::size_t t = shard_of(r);
-          if (t == s) continue;
-          auto& list = sh.boundary_out[t];
-          if (list.empty() || list.back() != static_cast<graph::NodeId>(p)) {
-            list.push_back(static_cast<graph::NodeId>(p));
-          }
-        }
-      }
-    });
-  }
-
   /// Whether the full stepper may skip held work: node-level holds
   /// (NodeRedeliveryProtocol) plus maybe_tick (QuiescentProtocol).
   /// Perfbench's TracedProtocol, for one, forwards neither hold query.
@@ -579,7 +478,6 @@ class ShardedNetwork {
       NodeRedeliveryProtocol<Protocol> && QuiescentProtocol<Protocol>;
 
   void step_full() {
-    if (boundaries_stale_) rebuild_boundaries();
     const bool hear_all = loss_->always_delivers();
     if (step_held(hear_all)) {
       book_held_step();
@@ -634,9 +532,9 @@ class ShardedNetwork {
   /// Books a held step: the counters the identity step would have added
   /// (every receiver node-level, every sweep skipped, every row reused,
   /// every frame delivered, no delta row) and S skipped shards. Nothing
-  /// else is written, and nothing else needs to be: the live buffer and
-  /// the mailboxes already hold this step's rows, and the grades the
-  /// last arena build wrote still describe them. The next build swaps
+  /// else is written, and nothing else needs to be: the live buffers
+  /// already hold this step's rows, and the grades the last arena build
+  /// wrote still describe them. The next build swaps
   /// buffers exactly as if it followed that build directly, so the
   /// in-place reuse stays sound (reuse_row). Leaving the grades alone
   /// matters: a row nobody hears (an isolated sender) may differ
@@ -652,18 +550,13 @@ class ShardedNetwork {
   }
 
   /// Phase 1 (by source shard, per-node work by range): snapshot all
-  /// owned frames into the shard arena, then flush every boundary frame
-  /// into the (src, dst) mailboxes — fixed admission order because the
-  /// boundary lists are ascending.
-  /// Redelivery protocols double-buffer the arena: last step's rows move
-  /// to prev_* before the build, then each fresh row is bit-compared
-  /// against its predecessor so phase 3 can skip the full delivery of
-  /// provably unchanged frames.
+  /// owned frames into the shard arena, which every listener then reads
+  /// in place. Redelivery protocols double-buffer the arena: last step's
+  /// rows move to prev_* before the build, then each fresh row is
+  /// bit-compared against its predecessor so phase 3 can skip the full
+  /// delivery of provably unchanged frames.
   void build_rows() {
     auto* protocol = protocol_;
-    const auto owned = [this](std::size_t s) {
-      return shards_[s].end - shards_[s].begin;
-    };
     // 1a (per shard, serial): swap the double buffer, size the arena.
     // Row i of the pool is [offsets[i], offsets[i+1]), mirroring the
     // CSR layout of the graph. The swapped-in buffer still holds the
@@ -704,8 +597,8 @@ class ShardedNetwork {
     // step's, copied, and grades bit-equal by construction. Each range
     // writes only its own slice of the global grade bitmap.
     std::atomic<std::uint64_t> rows_reused{0};
-    for_shard_ranges(owned, [&, protocol](std::size_t s, std::size_t lo,
-                                          std::size_t hi) {
+    for_shard_ranges([&, protocol](std::size_t s, std::size_t lo,
+                                   std::size_t hi) {
       Shard& sh = shards_[s];
       [[maybe_unused]] bool cmp = false;
       if constexpr (RedeliveryProtocol<Protocol>) {
@@ -754,8 +647,8 @@ class ShardedNetwork {
       bool any_delta = false;
       for (const Shard& sh : shards_) any_delta |= !sh.delta_pool.empty();
       if (any_delta) {
-        for_shard_ranges(owned, [this](std::size_t s, std::size_t lo,
-                                       std::size_t hi) {
+        for_shard_ranges([this](std::size_t s, std::size_t lo,
+                                std::size_t hi) {
           Shard& sh = shards_[s];
           for (std::size_t i = lo; i < hi; ++i) {
             if (sh.delta_counts[i] == 0) continue;
@@ -770,8 +663,6 @@ class ShardedNetwork {
         });
       }
     }
-    // 1e (per shard, serial): the mailbox flush.
-    for_shards([this](std::size_t s) { flush_boundary_frames(s); });
   }
 
   /// Phase 2 (serial unless τ = 1): per-edge delivery decisions, polled
@@ -804,20 +695,21 @@ class ShardedNetwork {
   /// what three barrier-separated passes would.
   ///
   /// Receive: the receiver pulls its heard frames in ascending-sender
-  /// order — local senders from the shard arena, remote senders from the
-  /// (src, dst) mailbox. With valid row hints (previous step built rows
-  /// AND was loss-free, so every listener consumed exactly those rows),
-  /// an unchanged sender's delivery collapses to the protocol's fast
-  /// paths, attempted strongest first: bit-equal rows to an age reset,
-  /// delta-applicable rows to an in-place patch of the changed digests,
-  /// rows with a held id sequence to a straight payload overwrite. Every
-  /// skip is bit-identical by induction on the rows a receiver has
-  /// consumed; the protocol declines them all for receivers whose cache
-  /// was externally mutated since the last sweep, falling through to the
-  /// next-fuller path. A receiver whose every heard row is bit-equal is
-  /// first offered whole (NodeRedeliveryProtocol): when the protocol
-  /// accepts, its per-edge age resets and its aging are skipped
-  /// together.
+  /// order, each read in place from its sender's shard arena: local or
+  /// remote, a row is written only in phase 1 and read only after its
+  /// barrier (a held step writes nothing). With valid row hints
+  /// (previous step built rows AND was loss-free, so every listener
+  /// consumed exactly those rows), an unchanged sender's delivery
+  /// collapses to the protocol's fast paths, attempted strongest first:
+  /// bit-equal rows to an age reset, delta-applicable rows to an
+  /// in-place patch of the changed digests, rows with a held id sequence
+  /// to a straight payload overwrite. Every skip is bit-identical by
+  /// induction on the rows a receiver has consumed; the protocol
+  /// declines them all for receivers whose cache was externally mutated
+  /// since the last sweep, falling through to the next-fuller path. A
+  /// receiver whose every heard row is bit-equal is first offered whole
+  /// (NodeRedeliveryProtocol): when the protocol accepts, its per-edge
+  /// age resets and its aging are skipped together.
   ///
   /// Sweep and age: guarded rules, then cache aging. Hold-aware
   /// protocols sweep through maybe_tick, which skips a node-level
@@ -825,7 +717,6 @@ class ShardedNetwork {
   /// (scheduler.hpp).
   void receive_sweep_age(bool hear_all) {
     const graph::Graph& g = *graph_;
-    const std::size_t S = shard_count();
     auto* protocol = protocol_;
     const auto offsets = g.csr_offsets();
     const auto flat = g.csr_neighbors();
@@ -843,13 +734,9 @@ class ShardedNetwork {
     }
     std::atomic<std::uint64_t> node_redeliveries{0};
     std::atomic<std::uint64_t> sweeps_skipped{0};
-    const auto owned = [this](std::size_t s) {
-      return shards_[s].end - shards_[s].begin;
-    };
-    for_shard_ranges(owned, [&, protocol, offsets, flat, hear_all, hints,
-                             gmask, S](std::size_t t, std::size_t lo,
-                                       std::size_t hi) {
-      Shard& sh = shards_[t];
+    for_shard_ranges([&, protocol, offsets, flat, hear_all, hints, gmask](
+                         std::size_t t, std::size_t lo, std::size_t hi) {
+      const Shard& sh = shards_[t];
       std::uint64_t taken = 0;
       std::uint64_t skipped = 0;
       for (std::size_t q = sh.begin + lo; q < sh.begin + hi; ++q) {
@@ -866,13 +753,10 @@ class ShardedNetwork {
             const unsigned char grade =
                 hints ? static_cast<unsigned char>(row_unchanged_[p] & gmask)
                       : static_cast<unsigned char>(0);
-            if (p >= sh.begin && p < sh.end) {
-              deliver_row(*protocol, node, sh,
-                          static_cast<std::size_t>(p) - sh.begin, grade);
-            } else {
-              deliver_from(*protocol, node, frame_mb_[shard_of(p) * S + t], p,
-                           grade);
-            }
+            const Shard& src =
+                p >= sh.begin && p < sh.end ? sh : shards_[shard_of(p)];
+            deliver_row(*protocol, node, src,
+                        static_cast<std::size_t>(p) - src.begin, grade);
           }
         }
         if constexpr (kHoldAware) {
@@ -964,38 +848,6 @@ class ShardedNetwork {
     return grade;
   }
 
-  /// Copies source shard `s`'s boundary rows (full and delta) into the
-  /// (s, t) frame mailbox of every other shard t.
-  void flush_boundary_frames(std::size_t s) {
-    const std::size_t S = shard_count();
-    const Shard& sh = shards_[s];
-    for (std::size_t t = 0; t < S; ++t) {
-      if (t == s) continue;
-      FrameMailbox& mb = frame_mb_[s * S + t];
-      mb.senders.assign(sh.boundary_out[t].begin(), sh.boundary_out[t].end());
-      mb.headers.clear();
-      mb.pool.clear();
-      mb.offsets.assign(1, 0);
-      if constexpr (RedeliveryProtocol<Protocol>) {
-        mb.delta_pool.clear();
-        mb.delta_offsets.assign(1, 0);
-      }
-      for (const graph::NodeId p : mb.senders) {
-        const std::size_t slot = static_cast<std::size_t>(p) - sh.begin;
-        append_frame(mb, sh, slot);
-        if constexpr (RedeliveryProtocol<Protocol>) {
-          if (row_unchanged_[p] & kRowDeltaApplicable) {
-            mb.delta_pool.insert(
-                mb.delta_pool.end(),
-                sh.delta_pool.begin() + sh.delta_offsets[slot],
-                sh.delta_pool.begin() + sh.delta_offsets[slot + 1]);
-          }
-          mb.delta_offsets.push_back(mb.delta_pool.size());
-        }
-      }
-    }
-  }
-
   /// Drops the double-buffered row state (redelivery protocols): the
   /// next full step runs every delivery through the full compare path,
   /// and any banked delta rows are orphaned (their base generation no
@@ -1006,231 +858,100 @@ class ShardedNetwork {
     delta_base_generation_ = kNoGeneration;
   }
 
-  /// Wakes `p` and its neighbors across whichever shards own them.
-  /// Serial contexts only (between steps / serial prologue).
+  /// Wakes `p` and its neighbors (dirty mode; serial contexts only).
   void wake_closed(graph::NodeId p) {
-    wake_owned(p);
-    for (const graph::NodeId r : graph_->neighbors(p)) wake_owned(r);
-  }
-
-  void wake_owned(graph::NodeId p) {
-    Shard& sh = shards_[shard_of(p)];
-    sh.tracker.wake(static_cast<graph::NodeId>(p - sh.begin));
+    activity_.wake(p);
+    for (const graph::NodeId r : graph_->neighbors(p)) activity_.wake(r);
   }
 
   /// The quiescence-aware step: only active nodes (those whose closed
   /// neighborhood changed last step) receive, tick and age; everyone
   /// else is left untouched — bit-identical to full stepping because a
   /// skipped node is at a boundary-state fixpoint with unchanged inputs
-  /// (docs/ARCHITECTURE.md §7 for the induction). The union of the
-  /// per-shard active sets is the global active set every step:
-  /// intra-shard wakes land directly, and cross-shard wakes ride the
-  /// wake mailboxes flushed at this step's end and drained before the
-  /// next begin_step — the one-step latency the double-buffered wake
-  /// set already has.
+  /// (docs/ARCHITECTURE.md §7 for the induction). Shards play no part:
+  /// the active set, the sender set and the compact arena are
+  /// engine-wide.
   void step_dirty() {
-    // Dirty mode reuses the shard arenas in compact (sender-list) form,
-    // clobbering the per-node rows the redelivery compare needs.
+    // Dirty steps change node state without an arena build, so last
+    // step's rows no longer name what every listener consumed.
     invalidate_row_hints();
     const graph::Graph& g = *graph_;
     const std::size_t n = g.node_count();
-    const std::size_t S = shard_count();
     auto* protocol = protocol_;
 
-    // Serial prologue: externally mutated nodes wake their closed
-    // neighborhood, crossing shard boundaries directly.
+    // Externally mutated nodes wake their closed neighborhood; then the
+    // accumulated wake set becomes this step's work list.
     for (const graph::NodeId p : protocol_->take_external_wakes()) {
       wake_closed(p);
     }
-
-    // Phase 0 (parallel by shard): drain inbound wake mailboxes, then
-    // promote the accumulated wake set to this step's work list.
-    for_shards([this, S](std::size_t t) {
-      Shard& sh = shards_[t];
-      for (std::size_t s = 0; s < S; ++s) {
-        auto& mb = wake_mb_[s * S + t];
-        for (const graph::NodeId p : mb) {
-          sh.tracker.wake(static_cast<graph::NodeId>(p - sh.begin));
-        }
-        mb.clear();
-      }
-      sh.tracker.begin_step();
-    });
-
-    std::size_t total_active = 0;
-    for (const Shard& sh : shards_) total_active += sh.tracker.active().size();
-    if (total_active == 0) {
-      for (Shard& sh : shards_) sh.tracker.record(0, sh.end - sh.begin);
-      stats_.record(0, n);
+    activity_.begin_step();
+    const auto active = activity_.active();
+    if (active.empty()) {
+      activity_.record(0, n);
       return;
     }
 
-    // Phase 1 (parallel by destination shard): discover the sender set.
-    // Local senders go straight into the compact list; remote senders
-    // are requested from their owning shard via the request mailboxes
-    // (sorted + deduplicated, so the owner admits them in ascending
-    // order).
-    for_shards([this, &g, S](std::size_t t) {
-      Shard& sh = shards_[t];
-      const std::size_t local_n = sh.end - sh.begin;
-      sh.sender_mark.assign(local_n, 0);
-      sh.sender_slot.resize(local_n);
-      sh.sender_list.clear();
-      sh.delivered = 0;
-      for (std::size_t s = 0; s < S; ++s) {
-        if (s != t) req_mb_[t * S + s].clear();
-      }
-      for (const graph::NodeId lq : sh.tracker.active()) {
-        const auto q = static_cast<graph::NodeId>(sh.begin + lq);
-        sh.delivered += g.degree(q);
-        for (const graph::NodeId r : g.neighbors(q)) {
-          if (r >= sh.begin && r < sh.end) {
-            const std::size_t lr = static_cast<std::size_t>(r) - sh.begin;
-            if (!sh.sender_mark[lr]) {
-              sh.sender_mark[lr] = 1;
-              sh.sender_list.push_back(r);
-            }
-          } else {
-            req_mb_[t * S + shard_of(r)].push_back(r);
-          }
+    // Phase 1 (serial): the sender set — every neighbor of an active
+    // receiver, slotted once, in discovery order, into the compact
+    // arena, sized by a prefix sum over the slots.
+    sender_slot_.resize(n, kNoSlot);
+    senders_.clear();
+    for (const graph::NodeId q : active) {
+      messages_delivered_ += g.degree(q);
+      for (const graph::NodeId r : g.neighbors(q)) {
+        if (sender_slot_[r] == kNoSlot) {
+          sender_slot_[r] = senders_.size();
+          senders_.push_back(r);
         }
       }
-      for (std::size_t s = 0; s < S; ++s) {
-        if (s == t) continue;
-        auto& req = req_mb_[t * S + s];
-        std::sort(req.begin(), req.end());
-        req.erase(std::unique(req.begin(), req.end()), req.end());
-      }
-    });
-
-    // Phase 2 (by source shard, frame builds by range): merge remote
-    // requests into the local sender set, build every needed frame
-    // once, then answer each request list through the frame mailboxes.
-    for_shards([this, protocol, S](std::size_t s) {
-      Shard& sh = shards_[s];
-      for (std::size_t t = 0; t < S; ++t) {
-        if (t == s) continue;
-        for (const graph::NodeId p : req_mb_[t * S + s]) {
-          const std::size_t lp = static_cast<std::size_t>(p) - sh.begin;
-          if (!sh.sender_mark[lp]) {
-            sh.sender_mark[lp] = 1;
-            sh.sender_list.push_back(p);
-          }
-        }
-      }
-      const std::size_t senders = sh.sender_list.size();
-      sh.offsets.resize(senders + 1);
-      sh.offsets[0] = 0;
-      for (std::size_t i = 0; i < senders; ++i) {
-        sh.sender_slot[static_cast<std::size_t>(sh.sender_list[i]) -
-                       sh.begin] = i;
-        sh.offsets[i + 1] =
-            sh.offsets[i] + protocol->digest_count(sh.sender_list[i]);
-      }
-      sh.pool.resize(sh.offsets[senders]);
-      sh.headers.resize(senders);
-    });
-    for_shard_ranges(
-        [this](std::size_t s) { return shards_[s].sender_list.size(); },
-        [this, protocol](std::size_t s, std::size_t lo, std::size_t hi) {
-          Shard& sh = shards_[s];
-          for (std::size_t i = lo; i < hi; ++i) {
-            protocol->make_frame(
-                sh.sender_list[i], sh.headers[i],
-                std::span(sh.pool.data() + sh.offsets[i],
-                          sh.offsets[i + 1] - sh.offsets[i]));
-          }
-        });
-    for_shards([this, S](std::size_t s) {
-      const Shard& sh = shards_[s];
-      for (std::size_t t = 0; t < S; ++t) {
-        if (t == s) continue;
-        const auto& req = req_mb_[t * S + s];
-        FrameMailbox& mb = frame_mb_[s * S + t];
-        mb.senders.assign(req.begin(), req.end());
-        mb.headers.clear();
-        mb.pool.clear();
-        mb.offsets.assign(1, 0);
-        for (const graph::NodeId p : req) {
-          append_frame(mb, sh,
-                       sh.sender_slot[static_cast<std::size_t>(p) - sh.begin]);
-        }
-      }
-    });
-
-    // Phase 3 (by range of active receivers): every active node pulls
-    // every neighbor's frame, ascending-sender order as always.
-    // Quiescent senders' frames were built on demand above (make_frame
-    // is const), so cache ages and contents evolve exactly as under the
-    // full stepper.
-    const auto active = [this](std::size_t s) {
-      return shards_[s].tracker.active().size();
-    };
-    for_shard_ranges(active, [this, protocol, &g, S](std::size_t t,
-                                                     std::size_t lo,
-                                                     std::size_t hi) {
-      const Shard& sh = shards_[t];
-      for (const graph::NodeId lq : sh.tracker.active().subspan(lo, hi - lo)) {
-        const auto q = static_cast<graph::NodeId>(sh.begin + lq);
-        for (const graph::NodeId r : g.neighbors(q)) {
-          if (r >= sh.begin && r < sh.end) {
-            deliver_row(*protocol, q, sh,
-                        sh.sender_slot[static_cast<std::size_t>(r) - sh.begin],
-                        0);
-          } else {
-            deliver_from(*protocol, q, frame_mb_[shard_of(r) * S + t], r);
-          }
-        }
-      }
-    });
-
-    // Phases 4 + 5 (by range): guarded rules, cache aging — active
-    // nodes only.
-    for_shard_ranges(active, [this, protocol](std::size_t t, std::size_t lo,
-                                              std::size_t hi) {
-      const Shard& sh = shards_[t];
-      for (const graph::NodeId lq : sh.tracker.active().subspan(lo, hi - lo)) {
-        protocol->tick(static_cast<graph::NodeId>(sh.begin + lq));
-      }
-    });
-    for_shard_ranges(active, [this, protocol](std::size_t t, std::size_t lo,
-                                              std::size_t hi) {
-      const Shard& sh = shards_[t];
-      for (const graph::NodeId lq : sh.tracker.active().subspan(lo, hi - lo)) {
-        protocol->end_step(static_cast<graph::NodeId>(sh.begin + lq));
-      }
-    });
-
-    // Phase 6 (parallel by shard): one-hop activity propagation. Local
-    // wakes land in the shard's own tracker; wakes for remote nodes
-    // ride the wake mailboxes, drained at the next step's phase 0.
-    for_shards([this, protocol, &g, S](std::size_t t) {
-      Shard& sh = shards_[t];
-      for (std::size_t s = 0; s < S; ++s) {
-        if (s != t) wake_mb_[t * S + s].clear();
-      }
-      for (const graph::NodeId lq : sh.tracker.active()) {
-        const auto q = static_cast<graph::NodeId>(sh.begin + lq);
-        const auto a = protocol->consume_activity(q);
-        if (a.state_changed) sh.tracker.wake(lq);
-        if (!a.frame_changed) continue;
-        for (const graph::NodeId r : g.neighbors(q)) {
-          if (r >= sh.begin && r < sh.end) {
-            sh.tracker.wake(static_cast<graph::NodeId>(r - sh.begin));
-          } else {
-            wake_mb_[t * S + shard_of(r)].push_back(r);
-          }
-        }
-      }
-    });
-
-    // Serial epilogue: fold the per-shard tallies in shard order.
-    for (Shard& sh : shards_) {
-      messages_delivered_ += sh.delivered;
-      const std::size_t stepped = sh.tracker.active().size();
-      sh.tracker.record(stepped, (sh.end - sh.begin) - stepped);
     }
-    stats_.record(total_active, n - total_active);
+    Shard& rows = dirty_rows_;
+    rows.offsets.resize(senders_.size() + 1);
+    rows.offsets[0] = 0;
+    for (std::size_t i = 0; i < senders_.size(); ++i) {
+      rows.offsets[i + 1] =
+          rows.offsets[i] + protocol->digest_count(senders_[i]);
+    }
+    rows.pool.resize(rows.offsets.back());
+    rows.headers.resize(senders_.size());
+
+    // Phase 2 (by range): build each sender's frame once. Quiescent
+    // senders' frames are built on demand too (make_frame is const), so
+    // cache ages and contents evolve exactly as under the full stepper.
+    for_ranges(senders_.size(), [this, protocol, &rows](std::size_t lo,
+                                                        std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        protocol->make_frame(
+            senders_[i], rows.headers[i],
+            std::span(rows.pool.data() + rows.offsets[i],
+                      rows.offsets[i + 1] - rows.offsets[i]));
+      }
+    });
+
+    // Phase 3 (by range of active receivers): one fused pass per
+    // receiver — every neighbor's frame in ascending-sender order, then
+    // the guarded rules, then cache aging — as in full stepping.
+    for_ranges(active.size(), [this, protocol, &g, &rows, active](
+                                  std::size_t lo, std::size_t hi) {
+      for (const graph::NodeId q : active.subspan(lo, hi - lo)) {
+        for (const graph::NodeId r : g.neighbors(q)) {
+          deliver_row(*protocol, q, rows, sender_slot_[r], 0);
+        }
+        protocol->tick(q);
+        protocol->end_step(q);
+      }
+    });
+
+    // Phase 4 (serial): one-hop activity propagation into next step's
+    // set, then the sender slots are cleared for the next step.
+    for (const graph::NodeId q : active) {
+      const auto a = protocol->consume_activity(q);
+      if (a.state_changed) activity_.wake(q);
+      if (!a.frame_changed) continue;
+      for (const graph::NodeId r : g.neighbors(q)) activity_.wake(r);
+    }
+    for (const graph::NodeId p : senders_) sender_slot_[p] = kNoSlot;
+    activity_.record(active.size(), n - active.size());
   }
 
   const graph::Graph* graph_;
@@ -1241,7 +962,6 @@ class ShardedNetwork {
   std::size_t steps_ = 0;
   std::uint64_t messages_delivered_ = 0;
   Stepping stepping_ = Stepping::kFull;
-  bool boundaries_stale_ = true;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<unsigned char> incoming_;  // per-edge decisions (lossy full)
   // Redelivery (full stepping): global per-node bitmap of "this step's
@@ -1258,16 +978,15 @@ class ShardedNetwork {
   std::uint64_t shards_skipped_ = 0;
   bool prev_rows_built_ = false;
   bool row_hints_valid_ = false;
-  ActivityTracker stats_;                // aggregate counters only
-  // Mailboxes, all indexed [writer_shard * S + reader_shard] so every
-  // parallel phase writes only its own row. frame_mb_ and wake_mb_ are
-  // written by the frame/wake *source* shard; req_mb_ is written by the
-  // *requesting* (destination) shard, so req_mb_[t * S + s] holds the
-  // senders shard t wants from shard s.
-  std::vector<FrameMailbox> frame_mb_;
-  std::vector<std::vector<graph::NodeId>> req_mb_;
-  std::vector<std::vector<graph::NodeId>> wake_mb_;  // cross-shard wakes
-  std::vector<std::size_t> range_starts_;  // for_shard_ranges scratch
+  // Dirty stepping: the stepped/skipped counters (both steppers) and
+  // the active set; the compact arena, one row per sender slot; the
+  // senders in slot order (global ids); and each node's slot, kNoSlot
+  // outside a step's sender set.
+  ActivityTracker activity_;
+  Shard dirty_rows_;
+  std::vector<graph::NodeId> senders_;
+  std::vector<std::size_t> sender_slot_;
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 };
 
 }  // namespace ssmwn::sim

@@ -115,7 +115,29 @@ TEST(Wire, RejectsTornAndOversizedFrames) {
   ::close(fds[1]);
 }
 
-TEST(ServePool, SlotResultsMatchTheCampaignRunner) {
+// The stop-aware read: a frame that is there is read whole even after
+// a stop; with nothing buffered, a stop reads as a clean close; part of
+// a frame and a stop is a torn frame. None of these blocks.
+TEST(Wire, StopAwareReadNeverWaitsPastTheStopPipe) {
+  int fds[2];
+  int stop[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_EQ(::pipe(stop), 0);
+  ASSERT_EQ(::write(stop[1], "s", 1), 1);
+
+  serve::write_frame(fds[0], serve::FrameType::kSpec, "whole");
+  serve::Frame frame;
+  ASSERT_TRUE(serve::read_frame(fds[1], frame, stop[0]));
+  EXPECT_EQ(frame.body, "whole");
+  EXPECT_FALSE(serve::read_frame(fds[1], frame, stop[0]));
+  const unsigned char partial_prefix[2] = {0, 0};
+  ASSERT_EQ(::write(fds[0], partial_prefix, sizeof(partial_prefix)), 2);
+  EXPECT_THROW((void)serve::read_frame(fds[1], frame, stop[0]),
+               std::runtime_error);
+  for (const int fd : {fds[0], fds[1], stop[0], stop[1]}) ::close(fd);
+}
+
+TEST(ServePool,SlotResultsMatchTheCampaignRunner) {
   const auto plan = campaign::expand(campaign::parse_spec_text(kSpecText));
   campaign::CampaignRunner reference(1);
   const auto want = reference.run(plan);
@@ -344,6 +366,41 @@ TEST(Server, StopDrainsPastAnIdleConnection) {
   accept_thread.join();
   EXPECT_TRUE(drained) << "run() still blocked 2 s after request_stop() "
                           "with an idle client connected";
+}
+
+TEST(Server, StopDrainsPastAClientStalledMidFrame) {
+  std::signal(SIGPIPE, SIG_IGN);
+  serve::ServerOptions options;
+  options.threads = 1;
+  serve::Server server(options);
+  std::promise<void> returned;
+  auto run_returned = returned.get_future();
+  std::thread accept_thread([&] {
+    server.run();
+    returned.set_value();
+  });
+
+  // A full exchange first, so the connection thread is known to be up;
+  // then two bytes of a four-byte length prefix, and the client stalls.
+  const int fd = connect_client(server.port());
+  const auto plan =
+      campaign::expand(campaign::parse_spec_text(kTinySpecText));
+  EXPECT_EQ(exchange(fd, kTinySpecText), plan.runs.size());
+  const unsigned char partial_prefix[2] = {0, 0};
+  ASSERT_EQ(::write(fd, partial_prefix, sizeof(partial_prefix)), 2);
+  // Let the connection thread wake on those bytes and start the frame,
+  // so the stop arrives while it waits for the rest of it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  server.request_stop();
+  const bool drained = run_returned.wait_for(std::chrono::seconds(2)) ==
+                       std::future_status::ready;
+  // Closing the client tears the frame, which unblocks a connection
+  // thread stuck in the read, so a failure reports instead of hanging.
+  ::close(fd);
+  accept_thread.join();
+  EXPECT_TRUE(drained) << "run() still blocked 2 s after request_stop() "
+                          "with a client stalled mid-frame";
 }
 
 TEST(Server, OversizedPlanGetsAnErrorFrameAndTheDaemonKeepsServing) {

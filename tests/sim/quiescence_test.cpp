@@ -121,7 +121,7 @@ TEST(Quiescence, RemovedEdgeWakesExactlyItsClosedNeighborhood) {
   // in the set as endpoints).
   const auto expected = closed_neighborhood(dyn.view(), {a, b});
   EXPECT_EQ(net.activity().last_nodes_stepped(), expected.size());
-  EXPECT_EQ(to_vector(net.shard_activity(0).active()), expected)
+  EXPECT_EQ(to_vector(net.activity().active()), expected)
       << "false wakeup: active set is not the delta's closed neighborhood";
 }
 
@@ -159,7 +159,7 @@ TEST(Quiescence, AddedEdgeWakesExactlyItsClosedNeighborhood) {
 
   const auto expected = closed_neighborhood(dyn.view(), {a, b});
   EXPECT_EQ(net.activity().last_nodes_stepped(), expected.size());
-  EXPECT_EQ(to_vector(net.shard_activity(0).active()), expected);
+  EXPECT_EQ(to_vector(net.activity().active()), expected);
 }
 
 TEST(Quiescence, SpuriousWakeDiesOutInOneStep) {

@@ -96,10 +96,10 @@ TEST(ShardedEquivalence, FullSteppingLockstepAcrossShardAndThreadCounts) {
 
 TEST(ShardedEquivalence, FullModeInPlaceRebuildLockstep) {
   // The campaign runner's rebuild mode mutates ONE Graph object in
-  // place and re-announces it via set_graph. The engine caches
-  // boundary-sender lists keyed to the adjacency, so a swallowed
-  // re-announcement serves stale cross-shard frames — this trial pins
-  // the set_graph → rebuild_boundaries path in full stepping.
+  // place and re-announces it via set_graph. The engine's row hints and
+  // holds assume the adjacency they were built on, so a swallowed
+  // re-announcement would redeliver rows to receivers that never heard
+  // them — this trial pins the set_graph path in full stepping.
   const std::size_t n = 120;
   const double radius = 0.12;
   for (const std::size_t shards :

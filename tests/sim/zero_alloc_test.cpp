@@ -225,5 +225,44 @@ TEST(ZeroAlloc, AllSkippedStepDoesNotTouchTheHeap) {
   EXPECT_EQ(network.shards_skipped() - skipped_before, 10 * shards);
 }
 
+// Dirty stepping on a pooled engine: the first step after the switch
+// is all-active, so the engine-wide active set, sender set and compact
+// arena reach their high water there. Every later dirty step — here
+// each re-woken around a few nodes, so it gathers senders, builds
+// frames, delivers and propagates wakes — runs out of that capacity.
+TEST(ZeroAlloc, DirtyStepsAfterTheAllActiveStepDoNotTouchTheHeap) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    util::Rng rng(2012);
+    const std::size_t n = 300;
+    const auto pts = topology::uniform_points(n, rng);
+    const auto g = topology::unit_disk_graph(pts, 0.09);
+    const auto ids = topology::random_ids(n, rng);
+    core::ProtocolConfig config;
+    config.cluster.use_dag_ids = true;
+    config.cluster.fusion = true;
+    config.delta_hint = std::max<std::uint64_t>(2, g.max_degree());
+    core::DensityProtocol protocol(ids, config, util::Rng(4));
+    sim::PerfectDelivery loss;
+    sim::ShardedNetwork network(g, protocol, loss, shards, 4);
+    network.run(30);  // caches and slabs at high water
+    network.set_stepping(sim::Stepping::kDirty);
+    network.step();  // all-active
+    ASSERT_EQ(network.activity().last_nodes_stepped(), n);
+
+    const graph::NodeId woken[] = {0, 77, 151, 299};
+    std::size_t stepped = 0;
+    const std::size_t before = g_allocations.load();
+    for (int s = 0; s < 10; ++s) {
+      network.mark_dirty(woken);
+      network.step();
+      stepped += network.activity().last_nodes_stepped();
+    }
+    const std::size_t during = g_allocations.load() - before;
+    EXPECT_EQ(during, 0u) << "dirty steps allocated " << during
+                          << " times at " << shards << " shards";
+    EXPECT_GT(stepped, 10u) << "the audited dirty steps did no work";
+  }
+}
+
 }  // namespace
 }  // namespace ssmwn
